@@ -57,17 +57,34 @@ Status OpenDb(DbVariant variant, const Options& options, const std::string& dbna
   return Status::InvalidArgument("unknown variant");
 }
 
-Status OpenShardedDb(DbVariant variant, const Options& options, const std::string& dbname,
-                     int shards, DB** dbptr) {
-  ShardedOptions sopt;
-  sopt.shards = shards;
-  sopt.name = std::string("sharded-") + VariantName(variant);
+namespace {
+Status OpenSharded(DbVariant variant, const Options& options, const ShardedOptions& sopt,
+                   const std::string& dbname, DB** dbptr) {
   return ShardedClsm::Open(
       options, sopt, dbname,
       [variant](const Options& o, const std::string& d, DB** out) {
         return OpenDb(variant, o, d, out);
       },
       dbptr);
+}
+}  // namespace
+
+Status OpenShardedDb(DbVariant variant, const Options& options, const std::string& dbname,
+                     int shards, DB** dbptr) {
+  ShardedOptions sopt;
+  sopt.shards = shards;
+  sopt.name = std::string("sharded-") + VariantName(variant);
+  return OpenSharded(variant, options, sopt, dbname, dbptr);
+}
+
+Status OpenPartitionedDb(DbVariant variant, const Options& options, const std::string& dbname,
+                         int partitions, DB** dbptr) {
+  ShardedOptions sopt;
+  sopt.shards = partitions;
+  sopt.subdir_prefix = "part";  // historical on-disk layout stays reopenable
+  sopt.split_resources = true;  // §2.2's static resource split
+  sopt.name = "partitioned";
+  return OpenSharded(variant, options, sopt, dbname, dbptr);
 }
 
 }  // namespace clsm

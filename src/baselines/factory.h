@@ -38,6 +38,14 @@ Status OpenDb(DbVariant variant, const Options& options, const std::string& dbna
 Status OpenShardedDb(DbVariant variant, const Options& options, const std::string& dbname,
                      int shards, DB** dbptr);
 
+// The single-machine horizontal-scaling configuration of paper §2.2, kept
+// as a named variant for the benchmark tables: `partitions` instances of
+// `variant` behind the ShardedClsm router, named "partitioned", with the
+// write buffer and block cache divided by the partition count (static
+// resource split) and member directories at dbname/partN.
+Status OpenPartitionedDb(DbVariant variant, const Options& options, const std::string& dbname,
+                         int partitions, DB** dbptr);
+
 }  // namespace clsm
 
 #endif  // CLSM_BASELINES_FACTORY_H_

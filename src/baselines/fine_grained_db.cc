@@ -16,8 +16,7 @@ namespace {
 // mutex), which is why this variant stops scaling on read-heavy loads.
 class HyperStyleDb final : public BaselineDbBase {
  public:
-  HyperStyleDb(const Options& options, const std::string& dbname)
-      : BaselineDbBase(options, dbname) {}
+  using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "hyperleveldb"; }
 
@@ -29,64 +28,78 @@ class HyperStyleDb final : public BaselineDbBase {
     return ConcurrentWrite(options, kTypeDeletion, key, Slice());
   }
 
-  using BaselineDbBase::Init;
-
  private:
   static constexpr int kStripes = 16;
 
+  // Bypasses the base's writer queue, so it runs the chassis op prologue
+  // and epilogue itself.
   Status ConcurrentWrite(const WriteOptions& options, ValueType type, const Slice& key,
                          const Slice& value) {
-    // This fast path bypasses BaselineDbBase::Put/WriteLocked, so it keeps
-    // its own books: the same op counters and latency series every other
-    // variant records.
     stats_.Bump(type == kTypeValue ? stats_.puts_total : stats_.deletes_total);
-    ScopedLatency probe(metrics_on_ ? &registry_ : nullptr,
-                        type == kTypeValue ? OpMetric::kPut : OpMetric::kDelete);
+    Status s = CheckWritable();
+    if (!s.ok()) {
+      return s;
+    }
+    const uint64_t t0 = StartOp();
+    bool stalled = false;
     // Slow path only when backpressure may apply: take the global mutex and
     // run the shared admission gate (including the roll). GateLikelyNeeded
     // covers both policies — legacy's L0 slowdown trigger and the
     // controller's throttled/refresh-due states — so the lock-free fast
     // path survives the mode switch.
-    MemTable* mem_probe = mem_.load(std::memory_order_acquire);
-    if (mem_probe->ApproximateMemoryUsage() >= engine_.options().write_buffer_size ||
-        throttle_->GateLikelyNeeded()) {
+    if (MemFull() || throttle_->GateLikelyNeeded()) {
       std::unique_lock<std::mutex> l(mutex_);
-      Status s = MakeRoomForWrite(l, key.size() + value.size());
-      if (!s.ok()) {
-        return s;
-      }
+      s = MakeRoomForWrite(l, key.size() + value.size(), &stalled);
     }
+    if (s.ok()) {
+      s = Insert(options, type, key, value);
+    }
+    if (metrics_on_) {
+      registry_.Record(type == kTypeValue ? OpMetric::kPut : OpMetric::kDelete,
+                       LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
+    }
+    FinishOp(type == kTypeValue ? DbOpType::kPut : DbOpType::kDelete, key, value.size(),
+             s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0, stalled);
+    return s;
+  }
 
-    // Fast path: concurrent insert under the roll latch + key stripe.
+  // Fast path: concurrent insert under the roll latch + key stripe.
+  Status Insert(const WriteOptions& options, ValueType type, const Slice& key,
+                const Slice& value) {
     std::shared_lock<std::shared_mutex> roll_guard(roll_latch_);
     MemTable* mem = mem_.load(std::memory_order_acquire);
     SequenceNumber seq = last_sequence_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    const uint64_t t0 = metrics_on_ ? LatencyClock::Ticks() : 0;
+    const bool pt = tls_perf_context.timers_enabled();
+    const bool timed = metrics_on_ || pt;
+    const uint64_t t1 = timed ? LatencyClock::Ticks() : 0;
     {
       std::lock_guard<std::mutex> stripe(stripes_[Hash(key) % kStripes]);
       mem->Add(seq, type, key, value);
     }
-    const uint64_t t1 = metrics_on_ ? LatencyClock::Ticks() : 0;
-    if (metrics_on_) {
-      registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t1 - t0));
-    }
+    const uint64_t t2 = timed ? LatencyClock::Ticks() : 0;
+    Status s;
     if (!engine_.options().disable_wal) {
       std::string record;
       EncodeWalRecord(&record, seq, type, key, value);
       AsyncLogger* logger = logger_.load(std::memory_order_acquire);
-      Status s;
       if (options.sync || engine_.options().sync_logging) {
         s = logger->AddRecordSync(std::move(record));
       } else {
         logger->AddRecordAsync(std::move(record));
       }
-      if (metrics_on_) {
-        registry_.Record(OpMetric::kWalAppend,
-                         LatencyClock::ToNanos(LatencyClock::Ticks() - t1));
-      }
-      return s;
     }
-    return Status::OK();
+    if (timed) {
+      const uint64_t t3 = LatencyClock::Ticks();
+      if (metrics_on_) {
+        registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
+        registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));
+      }
+      if (pt) {
+        tls_perf_context.mem_insert_nanos += LatencyClock::ToNanos(t2 - t1);
+        tls_perf_context.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
+      }
+    }
+    return s;
   }
 
   void RollMemTableLocked() override {
@@ -103,14 +116,7 @@ class HyperStyleDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenHyperStyleDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<HyperStyleDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return OpenBaseline<HyperStyleDb>(options, dbname, dbptr);
 }
 
 }  // namespace clsm

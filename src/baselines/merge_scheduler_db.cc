@@ -15,12 +15,9 @@ namespace {
 // throttling in place of hard gates.
 class BlsmStyleDb final : public BaselineDbBase {
  public:
-  BlsmStyleDb(const Options& options, const std::string& dbname)
-      : BaselineDbBase(options, dbname) {}
+  using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "blsm"; }
-
-  using BaselineDbBase::Init;
 
  protected:
   void SlowdownWait(std::unique_lock<std::mutex>& lock) override {
@@ -38,14 +35,7 @@ class BlsmStyleDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenBlsmStyleDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<BlsmStyleDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return OpenBaseline<BlsmStyleDb>(options, dbname, dbptr);
 }
 
 }  // namespace clsm

@@ -14,12 +14,9 @@ namespace {
 // (Fig 5a).
 class RocksStyleDb final : public BaselineDbBase {
  public:
-  RocksStyleDb(const Options& options, const std::string& dbname)
-      : BaselineDbBase(options, dbname) {}
+  using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "rocksdb"; }
-
-  using BaselineDbBase::Init;
 
  protected:
   bool ReadersTakeMutex() const override { return false; }
@@ -28,14 +25,7 @@ class RocksStyleDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenRocksStyleDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<RocksStyleDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return OpenBaseline<RocksStyleDb>(options, dbname, dbptr);
 }
 
 }  // namespace clsm

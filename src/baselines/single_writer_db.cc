@@ -9,25 +9,15 @@ namespace {
 // names it.
 class LevelStyleDb final : public BaselineDbBase {
  public:
-  LevelStyleDb(const Options& options, const std::string& dbname)
-      : BaselineDbBase(options, dbname) {}
+  using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "leveldb"; }
-
-  using BaselineDbBase::Init;
 };
 
 }  // namespace
 
 Status OpenLevelStyleDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<LevelStyleDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return OpenBaseline<LevelStyleDb>(options, dbname, dbptr);
 }
 
 }  // namespace clsm

@@ -14,8 +14,7 @@ namespace {
 // paper measures cLSM's optimistic RMW at ~2.5x this design.
 class StripedRmwDb final : public BaselineDbBase {
  public:
-  StripedRmwDb(const Options& options, const std::string& dbname)
-      : BaselineDbBase(options, dbname) {}
+  using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "leveldb-striped-rmw"; }
 
@@ -35,31 +34,51 @@ class StripedRmwDb final : public BaselineDbBase {
       *performed = false;
     }
     stats_.Bump(stats_.rmw_total);
-    ScopedLatency probe(metrics_on_ ? &registry_ : nullptr, OpMetric::kRmw);
-    // Read-compute-write is atomic for this key because every writer of the
-    // key serializes on the same stripe.
-    std::lock_guard<std::mutex> stripe(stripes_[StripeFor(key)]);
-    std::string current;
-    ReadOptions ro;
-    Status s = Get(ro, key, &current);
-    std::optional<Slice> cur;
-    if (s.ok()) {
-      cur = Slice(current);
-    } else if (!s.IsNotFound()) {
+    Status s = CheckWritable();
+    if (!s.ok()) {
       return s;
     }
-    std::optional<std::string> next = f(cur);
-    if (!next.has_value()) {
-      return Status::OK();
+    const uint64_t t0 = StartOp();
+    bool stalled = false;
+    bool did_write = false;
+    uint64_t written_bytes = 0;
+    {
+      // Read-compute-write is atomic for this key because every writer of
+      // the key serializes on the same stripe.
+      std::lock_guard<std::mutex> stripe(stripes_[StripeFor(key)]);
+      std::string current;
+      s = GetInternal(ReadOptions(), key, &current);
+      std::optional<Slice> cur;
+      if (s.ok()) {
+        cur = Slice(current);
+      }
+      if (s.ok() || s.IsNotFound()) {
+        s = Status::OK();
+        std::optional<std::string> next = f(cur);
+        if (next.has_value()) {
+          WriteBatch batch;
+          batch.Put(key, *next);
+          s = WriteLocked(options, &batch, &stalled);
+          if (s.ok()) {
+            did_write = true;
+            written_bytes = next->size();
+            if (performed != nullptr) {
+              *performed = true;
+            }
+          }
+        }
+      }
     }
-    s = BaselineDbBase::Put(options, key, *next);
-    if (s.ok() && performed != nullptr) {
-      *performed = true;
+    if (metrics_on_) {
+      registry_.Record(OpMetric::kRmw, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
     }
+    // Same trace outcome contract as the other variants: kOk when the
+    // function wrote, kNotFound when it declined.
+    FinishOp(DbOpType::kRmw, key, written_bytes,
+             !s.ok() ? OpOutcome::kError : (did_write ? OpOutcome::kOk : OpOutcome::kNotFound),
+             t0, stalled);
     return s;
   }
-
-  using BaselineDbBase::Init;
 
  private:
   static constexpr int kStripes = 256;
@@ -72,14 +91,7 @@ class StripedRmwDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenStripedRmwDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<StripedRmwDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return OpenBaseline<StripedRmwDb>(options, dbname, dbptr);
 }
 
 }  // namespace clsm

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -93,6 +94,36 @@ class LatencyClock {
   static double NanosPerTick();  // calibrated / read once on first use
 };
 
+// Stable per-thread hash (of the thread id, computed once per thread)
+// that the sharded accumulators — StatsRegistry and RpcServerStats —
+// reduce modulo their shard count. Distinct threads may collide on a
+// shard: the counters stay correct, only contention rises.
+size_t ThreadShardHash();
+
+// One latency series' cell on one shard: sample count, sum and the
+// Histogram buckets, all relaxed atomics. No per-sample min/max: the
+// extremes are recovered from the occupied bucket range when merging,
+// exact to bucket width, keeping Record to counter adds plus one bucket
+// bump. Shared by StatsRegistry and RpcServerStats.
+struct LatencyCell {
+  std::atomic<uint64_t> count{0};
+  std::atomic<uint64_t> sum_nanos{0};
+  std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
+
+  void Record(uint64_t nanos) {
+    count.fetch_add(1, std::memory_order_relaxed);
+    sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
+    buckets[Histogram::BucketIndex(static_cast<double>(nanos))].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
+  // Merge this cell into *out. Racy-by-design monitoring read, like the
+  // DbStats counters.
+  void MergeInto(Histogram* out) const;
+
+  void Reset();
+};
+
 class StatsRegistry {
  public:
   static constexpr int kNumShards = 16;
@@ -102,39 +133,23 @@ class StatsRegistry {
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
   // Record one sample of `nanos` for op. Wait-free: relaxed adds on the
-  // calling thread's shard (threads hash onto shards, so unrelated threads
-  // rarely share a cache line). No per-sample min/max bookkeeping: the
-  // extremes are recovered from the bucket boundaries at aggregation time,
-  // exact to bucket width — keeping the hot path to counter adds plus one
-  // bucket bump.
+  // calling thread's shard.
   void Record(OpMetric op, uint64_t nanos) {
-    ShardHist& h = shards_[ShardIndex()].hists[static_cast<int>(op)];
-    h.count.fetch_add(1, std::memory_order_relaxed);
-    h.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
-    h.buckets[Histogram::BucketIndex(static_cast<double>(nanos))].fetch_add(
-        1, std::memory_order_relaxed);
+    shards_[ThreadShardHash() % kNumShards].cells[static_cast<int>(op)].Record(nanos);
   }
 
   // Total samples recorded for op across all shards.
   uint64_t Count(OpMetric op) const;
 
   // Merge every shard's buckets for op into *out (values in nanoseconds).
-  // Racy-by-design monitoring read, like the DbStats counters.
   void AggregateInto(OpMetric op, Histogram* out) const;
 
   void Reset();
 
  private:
-  struct ShardHist {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum_nanos{0};
-    std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
-  };
   struct alignas(64) Shard {
-    ShardHist hists[kNumOpMetrics];
+    LatencyCell cells[kNumOpMetrics];
   };
-
-  static int ShardIndex();
 
   Shard shards_[kNumShards];
 };

@@ -45,16 +45,10 @@ const char* RpcStatusClassName(RpcStatusClass c) {
   return "unknown";
 }
 
-int RpcServerStats::ShardIndex() {
-  thread_local const int shard =
-      static_cast<int>(std::hash<std::thread::id>()(std::this_thread::get_id()) % kNumShards);
-  return shard;
-}
-
 uint64_t RpcServerStats::Requests(RpcOp op) const {
   uint64_t n = 0;
   for (const Shard& s : shards_) {
-    n += s.ops[static_cast<int>(op)].requests.load(std::memory_order_relaxed);
+    n += s.ops[static_cast<int>(op)].latency.count.load(std::memory_order_relaxed);
   }
   return n;
 }
@@ -118,48 +112,19 @@ uint64_t RpcServerStats::TotalErrors() const {
 }
 
 void RpcServerStats::AggregateLatency(RpcOp op, Histogram* out) const {
-  uint64_t counts[Histogram::kNumBuckets];
   for (const Shard& s : shards_) {
-    const OpShard& h = s.ops[static_cast<int>(op)];
-    const uint64_t num = h.requests.load(std::memory_order_relaxed);
-    if (num == 0) {
-      continue;
-    }
-    // min/max recovered from the occupied bucket range, exact to bucket
-    // width (same trade as StatsRegistry: no per-sample extremes).
-    int lo = -1, hi = -1;
-    for (int b = 0; b < Histogram::kNumBuckets; b++) {
-      counts[b] = h.buckets[b].load(std::memory_order_relaxed);
-      if (counts[b] != 0) {
-        if (lo < 0) {
-          lo = b;
-        }
-        hi = b;
-      }
-    }
-    if (lo < 0) {
-      continue;
-    }
-    const double min = lo > 0 ? Histogram::BucketLimit(lo - 1) : 0.0;
-    const double max = Histogram::BucketLimit(hi);
-    out->MergeBucketCounts(counts, num,
-                           static_cast<double>(h.sum_nanos.load(std::memory_order_relaxed)), min,
-                           max);
+    s.ops[static_cast<int>(op)].latency.MergeInto(out);
   }
 }
 
 void RpcServerStats::Reset() {
   for (Shard& s : shards_) {
     for (OpShard& h : s.ops) {
-      h.requests.store(0, std::memory_order_relaxed);
+      h.latency.Reset();
       h.bytes_in.store(0, std::memory_order_relaxed);
       h.bytes_out.store(0, std::memory_order_relaxed);
       for (auto& r : h.responses) {
         r.store(0, std::memory_order_relaxed);
-      }
-      h.sum_nanos.store(0, std::memory_order_relaxed);
-      for (auto& b : h.buckets) {
-        b.store(0, std::memory_order_relaxed);
       }
     }
   }

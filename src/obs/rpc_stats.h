@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "src/obs/metrics.h"
 #include "src/util/histogram.h"
 
 namespace clsm {
@@ -70,14 +71,11 @@ class RpcServerStats {
   // counters, all relaxed adds on the calling thread's shard.
   void RecordRequest(RpcOp op, RpcStatusClass status, uint64_t latency_nanos,
                      uint64_t bytes_in, uint64_t bytes_out) {
-    OpShard& s = shards_[ShardIndex()].ops[static_cast<int>(op)];
-    s.requests.fetch_add(1, std::memory_order_relaxed);
+    OpShard& s = shards_[ThreadShardHash() % kNumShards].ops[static_cast<int>(op)];
+    s.latency.Record(latency_nanos);
     s.bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
     s.bytes_out.fetch_add(bytes_out, std::memory_order_relaxed);
     s.responses[static_cast<int>(status)].fetch_add(1, std::memory_order_relaxed);
-    s.sum_nanos.fetch_add(latency_nanos, std::memory_order_relaxed);
-    s.buckets[Histogram::BucketIndex(static_cast<double>(latency_nanos))].fetch_add(
-        1, std::memory_order_relaxed);
   }
 
   // --- aggregated reads (sum across shards) ---
@@ -126,18 +124,14 @@ class RpcServerStats {
 
  private:
   struct OpShard {
-    std::atomic<uint64_t> requests{0};
+    LatencyCell latency;  // its count is the request count
     std::atomic<uint64_t> bytes_in{0};
     std::atomic<uint64_t> bytes_out{0};
     std::atomic<uint64_t> responses[kNumRpcStatusClasses] = {};
-    std::atomic<uint64_t> sum_nanos{0};
-    std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
   };
   struct alignas(64) Shard {
     OpShard ops[kNumRpcOps];
   };
-
-  static int ShardIndex();
 
   Shard shards_[kNumShards];
 };

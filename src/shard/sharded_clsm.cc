@@ -8,7 +8,6 @@
 #include "src/obs/rpc_stats.h"
 #include "src/obs/slow_op.h"
 #include "src/obs/stats_export.h"
-#include "src/obs/trace_listener.h"
 #include "src/table/merging_iterator.h"
 #include "src/util/comparator.h"
 #include "src/util/env.h"
@@ -31,8 +30,9 @@ void ReleaseCompositeSnapshot(void* db, void* snapshot) {
 
 }  // namespace
 
-ShardedClsm::ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards)
-    : name_(std::move(name)), shards_(std::move(shards)) {}
+ShardedClsm::ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards,
+                         std::shared_ptr<SlowOpRingListener> rpc_slow_ring)
+    : name_(std::move(name)), shards_(std::move(shards)), rpc_(std::move(rpc_slow_ring)) {}
 
 ShardedClsm::~ShardedClsm() {
   // The admin server's handlers walk the shards; stop it first.
@@ -79,7 +79,9 @@ Status ShardedClsm::Open(const Options& options, const ShardedOptions& sopt,
     }
     shards.emplace_back(raw);
   }
-  auto* db = new ShardedClsm(sopt.name, std::move(shards));
+  auto* db = new ShardedClsm(
+      sopt.name, std::move(shards),
+      options.admin_port >= 0 ? std::make_shared<SlowOpRingListener>() : nullptr);
   Status s = db->StartAdmin(options);
   if (!s.ok()) {
     delete db;
@@ -95,13 +97,10 @@ Status ShardedClsm::StartAdmin(const Options& options) {
   }
   AdminHooks hooks;
   hooks.db_name = name_;
-  hooks.stats_json = [this] {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
-  };
+  hooks.stats_json = [this] { return GetProperty("clsm.stats.json"); };
   hooks.metrics_text = [this] {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsPrometheusSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
+    std::shared_ptr<RpcServerStats> rpc = rpc_.stats();
+    return BuildStatsPrometheusSharded(name_.c_str(), ShardStatsSources(), rpc.get());
   };
   // PerfContext is thread-local and process-wide; any member renders the
   // same cross-thread view.
@@ -126,24 +125,7 @@ Status ShardedClsm::StartAdmin(const Options& options) {
   // Per-shard slow-op rings and trace controllers stay member-internal;
   // /control/trace answers 404 on the sharded surface. /slowops serves the
   // wrapper's own ring, fed by the serving tier's slow-request records.
-  rpc_slow_ring_ = std::make_shared<SlowOpRingListener>();
-  hooks.slow_ops = rpc_slow_ring_.get();
-  hooks.rpctrace_set = [this](uint32_t ppm) {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    if (rpc_stats_ == nullptr) {
-      return false;  // no KV service has attached yet
-    }
-    rpc_stats_->SetTraceSamplePpm(ppm);
-    return true;
-  };
-  hooks.rpctrace_dump = [this]() -> std::string {
-    std::shared_ptr<TraceEventListener> t;
-    {
-      std::lock_guard<std::mutex> l(rpc_mu_);
-      t = rpc_trace_;
-    }
-    return t != nullptr ? t->DumpChromeTrace() : std::string();
-  };
+  rpc_.FillAdminHooks(&hooks);
   hooks.max_connections = options.admin_max_connections;
   admin_ = std::make_unique<AdminServer>(std::move(hooks));
   return admin_->Start(options.admin_bind_address, options.admin_port);
@@ -272,8 +254,8 @@ Status ShardedClsm::ReadModifyWrite(const WriteOptions& options, const Slice& ke
 
 std::string ShardedClsm::GetProperty(const Slice& property) {
   if (property == Slice("clsm.stats.json")) {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
+    std::shared_ptr<RpcServerStats> rpc = rpc_.stats();
+    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc.get());
   }
   if (property == Slice("clsm.shard-count")) {
     return std::to_string(shards_.size());
@@ -300,18 +282,7 @@ void ShardedClsm::ResetStats() {
   for (auto& shard : shards_) {
     shard->ResetStats();
   }
-  std::lock_guard<std::mutex> l(rpc_mu_);
-  if (rpc_stats_ != nullptr) {
-    rpc_stats_->Reset();
-  }
-}
-
-std::shared_ptr<SlowOpRingListener> ShardedClsm::AttachRpcObservability(
-    std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace) {
-  std::lock_guard<std::mutex> l(rpc_mu_);
-  rpc_stats_ = std::move(stats);
-  rpc_trace_ = std::move(trace);
-  return rpc_slow_ring_;  // null when the admin server is off
+  rpc_.ResetStats();
 }
 
 void ShardedClsm::WaitForMaintenance() {

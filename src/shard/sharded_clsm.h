@@ -36,12 +36,12 @@
 #define CLSM_SHARD_SHARDED_CLSM_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/core/db.h"
 #include "src/server/admin_server.h"
+#include "src/server/rpc_attachment.h"
 #include "src/sync/shared_exclusive_lock.h"
 
 namespace clsm {
@@ -57,7 +57,7 @@ struct ShardedOptions {
   // on-disk layout of pre-existing PartitionedDb stores reopenable.
   std::string subdir_prefix = "shard";
   // True reproduces the static resource split of paper §2.2 (write buffer
-  // and block cache divided by N — what PartitionedDb models). False
+  // and block cache divided by N — what OpenPartitionedDb configures). False
   // (default) gives every shard the configured budget, the deployment
   // posture where shards are sized individually.
   bool split_resources = false;
@@ -98,7 +98,9 @@ class ShardedClsm final : public DB {
   void ResetStats() override;
   void WaitForMaintenance() override;
   std::shared_ptr<SlowOpRingListener> AttachRpcObservability(
-      std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace) override;
+      std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace) override {
+    return rpc_.Attach(std::move(stats), std::move(trace));
+  }
 
   int shards() const { return static_cast<int>(shards_.size()); }
   DB* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
@@ -107,7 +109,8 @@ class ShardedClsm final : public DB {
  private:
   struct CompositeSnapshot;
 
-  ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards);
+  ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards,
+              std::shared_ptr<SlowOpRingListener> rpc_slow_ring);
 
   Status StartAdmin(const Options& options);
   std::vector<StatsJsonSource> ShardStatsSources();
@@ -124,12 +127,10 @@ class ShardedClsm final : public DB {
 
   // Serving-tier observability, attached late by the KvService fronting
   // this wrapper (the production topology: one service, one sharded DB).
-  // The wrapper owns the slow-request ring its /slowops serves — members
-  // keep their own engine rings internal. Guarded by rpc_mu_.
-  std::mutex rpc_mu_;
-  std::shared_ptr<RpcServerStats> rpc_stats_;      // guarded by rpc_mu_
-  std::shared_ptr<TraceEventListener> rpc_trace_;  // guarded by rpc_mu_
-  std::shared_ptr<SlowOpRingListener> rpc_slow_ring_;  // non-null iff admin runs
+  // The wrapper owns the slow-request ring its /slowops serves (null when
+  // its admin server is off) — members keep their own engine rings
+  // internal.
+  RpcAttachment rpc_;
 };
 
 }  // namespace clsm

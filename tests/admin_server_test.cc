@@ -295,60 +295,65 @@ TEST_F(AdminServerTest, TraceStartStopRoundTrip) {
   EXPECT_EQ(400, code) << body;
 }
 
+// The serving-tier endpoints answer the same way on cLSM and on a
+// baseline: both run on the one chassis.
 TEST_F(AdminServerTest, RpcTraceControlEndpoints) {
-  auto db = Open(DbVariant::kClsm, "rpctrace");
-  const int port = AdminPort(db.get());
-  int code = 0;
+  for (DbVariant variant : {DbVariant::kClsm, DbVariant::kLevelDb}) {
+    SCOPED_TRACE(VariantName(variant));
+    auto db = Open(variant, std::string("rpctrace-") + VariantName(variant));
+    const int port = AdminPort(db.get());
+    int code = 0;
 
-  // Before a KV service attaches there is nothing to sample: start/stop
-  // conflict, the dump is absent. Method and rate validation run first.
-  std::string body = Post(port, "/control/rpctrace/start?rate=0.5", "", &code);
-  EXPECT_EQ(409, code) << body;
-  EXPECT_NE(std::string::npos, body.find("no rpc service attached")) << body;
-  body = Post(port, "/control/rpctrace/stop", "", &code);
-  EXPECT_EQ(409, code) << body;
-  Get(port, "/rpctrace", &code);
-  EXPECT_EQ(404, code);
-  Get(port, "/control/rpctrace/start", &code);
-  EXPECT_EQ(405, code);
-  Post(port, "/rpctrace", "", &code);
-  EXPECT_EQ(405, code);
-  body = Post(port, "/control/rpctrace/start?rate=abc", "", &code);
-  EXPECT_EQ(400, code) << body;
-  body = Post(port, "/control/rpctrace/start?rate=1.5", "", &code);
-  EXPECT_EQ(400, code) << body;
-  body = Post(port, "/control/rpctrace/start?rate=-0.1", "", &code);
-  EXPECT_EQ(400, code) << body;
+    // Before a KV service attaches there is nothing to sample: start/stop
+    // conflict, the dump is absent. Method and rate validation run first.
+    std::string body = Post(port, "/control/rpctrace/start?rate=0.5", "", &code);
+    EXPECT_EQ(409, code) << body;
+    EXPECT_NE(std::string::npos, body.find("no rpc service attached")) << body;
+    body = Post(port, "/control/rpctrace/stop", "", &code);
+    EXPECT_EQ(409, code) << body;
+    Get(port, "/rpctrace", &code);
+    EXPECT_EQ(404, code);
+    Get(port, "/control/rpctrace/start", &code);
+    EXPECT_EQ(405, code);
+    Post(port, "/rpctrace", "", &code);
+    EXPECT_EQ(405, code);
+    body = Post(port, "/control/rpctrace/start?rate=abc", "", &code);
+    EXPECT_EQ(400, code) << body;
+    body = Post(port, "/control/rpctrace/start?rate=1.5", "", &code);
+    EXPECT_EQ(400, code) << body;
+    body = Post(port, "/control/rpctrace/start?rate=-0.1", "", &code);
+    EXPECT_EQ(400, code) << body;
 
-  // Front the DB with a KV service carrying a trace ring; the admin
-  // endpoints then control its sampler live.
-  KvServiceConfig cfg;
-  cfg.trace = std::make_shared<TraceEventListener>();
-  KvService service(db.get(), cfg);
-  ASSERT_TRUE(service.Start("127.0.0.1", 0).ok());
+    // Front the DB with a KV service carrying a trace ring; the admin
+    // endpoints then control its sampler live.
+    KvServiceConfig cfg;
+    cfg.trace = std::make_shared<TraceEventListener>();
+    KvService service(db.get(), cfg);
+    ASSERT_TRUE(service.Start("127.0.0.1", 0).ok());
 
-  body = Post(port, "/control/rpctrace/start?rate=1", "", &code);
-  ASSERT_EQ(200, code) << body;
-  EXPECT_NE(std::string::npos, body.find("\"status\":\"sampling\"")) << body;
-  EXPECT_EQ(1'000'000u, service.stats()->TraceSamplePpm());
+    body = Post(port, "/control/rpctrace/start?rate=1", "", &code);
+    ASSERT_EQ(200, code) << body;
+    EXPECT_NE(std::string::npos, body.find("\"status\":\"sampling\"")) << body;
+    EXPECT_EQ(1'000'000u, service.stats()->TraceSamplePpm());
 
-  KvClient c;
-  ASSERT_TRUE(c.Connect("127.0.0.1", service.port()).ok());
-  ASSERT_TRUE(c.Put("traced", "v").ok());
-  std::string v;
-  ASSERT_TRUE(c.Get("traced", &v).ok());
+    KvClient c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", service.port()).ok());
+    ASSERT_TRUE(c.Put("traced", "v").ok());
+    std::string v;
+    ASSERT_TRUE(c.Get("traced", &v).ok());
 
-  // The sampled request spans come back through the Chrome-trace dump.
-  ASSERT_TRUE(WaitFor([&] { return service.stats()->trace_spans.load() == 2; }));
-  body = Get(port, "/rpctrace", &code);
-  ASSERT_EQ(200, code);
-  EXPECT_NE(std::string::npos, body.find("\"rpc.req\"")) << body.substr(0, 400);
-  EXPECT_NE(std::string::npos, body.find("\"rpc.get\"")) << body.substr(0, 400);
+    // The sampled request spans come back through the Chrome-trace dump.
+    ASSERT_TRUE(WaitFor([&] { return service.stats()->trace_spans.load() == 2; }));
+    body = Get(port, "/rpctrace", &code);
+    ASSERT_EQ(200, code);
+    EXPECT_NE(std::string::npos, body.find("\"rpc.req\"")) << body.substr(0, 400);
+    EXPECT_NE(std::string::npos, body.find("\"rpc.get\"")) << body.substr(0, 400);
 
-  body = Post(port, "/control/rpctrace/stop", "", &code);
-  ASSERT_EQ(200, code) << body;
-  EXPECT_NE(std::string::npos, body.find("\"status\":\"stopped\"")) << body;
-  EXPECT_EQ(0u, service.stats()->TraceSamplePpm());
+    body = Post(port, "/control/rpctrace/stop", "", &code);
+    ASSERT_EQ(200, code) << body;
+    EXPECT_NE(std::string::npos, body.find("\"status\":\"stopped\"")) << body;
+    EXPECT_EQ(0u, service.stats()->TraceSamplePpm());
+  }
 }
 
 TEST_F(AdminServerTest, SlowRpcRequestsSurfaceInSlowOpsWithPerf) {

@@ -1,16 +1,17 @@
-// PartitionedDb: the resource-isolated configuration must be functionally
-// correct. Historically its snapshots were per-partition only (the paper
-// §2.2 weakness, taken sequentially with writes racing in between); since
-// the variant was rebased onto ShardedClsm, composite snapshots are an
-// atomic cut and cross-partition batches must never be observed torn.
+// OpenPartitionedDb: the resource-isolated configuration must be
+// functionally correct. Historically its snapshots were per-partition only
+// (the paper §2.2 weakness, taken sequentially with writes racing in
+// between); on ShardedClsm, composite snapshots are an atomic cut and
+// cross-partition batches must never be observed torn.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <thread>
 
-#include "src/baselines/partitioned_db.h"
+#include "src/baselines/factory.h"
 #include "src/core/write_batch.h"
+#include "src/shard/sharded_clsm.h"
 #include "tests/test_util.h"
 
 namespace clsm {
@@ -21,7 +22,7 @@ class PartitionedTest : public ::testing::Test {
   PartitionedTest() : dir_("part") {
     options_.write_buffer_size = 1 << 20;
     DB* raw = nullptr;
-    Status s = PartitionedDb::Open(DbVariant::kLevelDb, options_, dir_.path() + "/db", 4, &raw);
+    Status s = OpenPartitionedDb(DbVariant::kLevelDb, options_, dir_.path() + "/db", 4, &raw);
     EXPECT_TRUE(s.ok()) << s.ToString();
     db_.reset(raw);
   }
@@ -44,7 +45,7 @@ TEST_F(PartitionedTest, BasicOperations) {
   }
   ASSERT_TRUE(db_->Delete(wo, "key100").ok());
   EXPECT_TRUE(db_->Get(ro, "key100", &v).IsNotFound());
-  EXPECT_EQ(4, static_cast<PartitionedDb*>(db_.get())->partitions());
+  EXPECT_EQ(4, static_cast<ShardedClsm*>(db_.get())->shards());
 }
 
 TEST_F(PartitionedTest, MergedIteratorSeesAllPartitionsInOrder) {
@@ -101,7 +102,7 @@ TEST_F(PartitionedTest, CompositeSnapshotIsPerPartitionConsistent) {
   db_->ReleaseSnapshot(snap);
 }
 
-// Since PartitionedDb rides ShardedClsm's snapshot-cut protocol, a batch
+// Since the partitioned store rides ShardedClsm's snapshot-cut protocol, a batch
 // spanning partitions is atomic under concurrent snapshots: every cut
 // either precedes the whole batch or follows it. This used to be the §2.2
 // weakness this suite merely documented; now zero tearing is asserted.
@@ -144,7 +145,7 @@ TEST_F(PartitionedTest, WaitForMaintenanceAndReopen) {
 
   DB* raw = nullptr;
   ASSERT_TRUE(
-      PartitionedDb::Open(DbVariant::kLevelDb, options_, dir_.path() + "/db", 4, &raw).ok());
+      OpenPartitionedDb(DbVariant::kLevelDb, options_, dir_.path() + "/db", 4, &raw).ok());
   db_.reset(raw);
   ReadOptions ro;
   std::string v;

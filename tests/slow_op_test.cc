@@ -6,6 +6,7 @@
 // sink renders one line per record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -208,10 +209,11 @@ TEST_P(SlowOpDbTest, ThresholdZeroDisablesDispatch) {
   EXPECT_EQ(collector->Count(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, SlowOpDbTest,
-                         ::testing::Values(DbVariant::kClsm, DbVariant::kLevelDb),
+INSTANTIATE_TEST_SUITE_P(Variants, SlowOpDbTest, ::testing::ValuesIn(AllVariants()),
                          [](const ::testing::TestParamInfo<DbVariant>& info) {
-                           return std::string(VariantName(info.param));
+                           std::string name = VariantName(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 }  // namespace

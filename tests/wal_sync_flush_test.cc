@@ -140,5 +140,16 @@ TEST_F(WalSyncFlushTest, BaselineSyncFailureAtFlushLatchesBeforeLogRemoval) {
   RunScenario(DbVariant::kLevelDb, "leveldb");
 }
 
+// HyperLevelDB's puts bypass the writer queue on a lock-free fast path,
+// which must still fail at the door once the error is latched (step 2).
+// The legacy admission policy keeps the gate off that path while level 0
+// is small, and the larger memtable is still far from full when the
+// churn sees the latch, so only the door check can reject the write.
+TEST_F(WalSyncFlushTest, HyperLevelDbSyncFailureAtFlushLatchesBeforeLogRemoval) {
+  options_.write_rate_limit_mode = WriteRateLimitMode::kLegacy;
+  options_.write_buffer_size = 1 << 20;
+  RunScenario(DbVariant::kHyperLevelDb, "hyperleveldb");
+}
+
 }  // namespace
 }  // namespace clsm
