@@ -3,7 +3,8 @@
 //       quantifies §4's "writes occur at memory speed" claim.
 //   A2. Bloom filters on/off (read throughput on a disk-resident set).
 //   A3. block cache size sweep (read throughput).
-//   A4. dedicated flush thread on/off under compaction pressure (§5.3).
+//   (A4, the dedicated flush thread, is retired: every store flushes on its
+//   own maintenance thread, apart from the compaction pool.)
 //   A5. serializable vs linearizable snapshot acquisition under write
 //       churn (getSnap cost of the stronger guarantee, §3.2.1).
 #include <chrono>
@@ -89,22 +90,6 @@ int main() {
       DriverResult r = RunWithOptions(options, spec, kThreads, config, "cache");
       printf("block_cache=%-10zu %13.0f reads/sec  p90=%.1fus\n", cache, r.ops_per_sec,
              r.latency_micros.Percentile(90));
-    }
-  }
-
-  {
-    printf("\n--- A4: dedicated flush thread under compaction pressure ---\n");
-    WorkloadSpec spec;
-    spec.write_fraction = 1.0;
-    spec.num_keys = config.preload_keys;
-    spec.value_size = 400;
-    for (bool dedicated : {false, true}) {
-      Options options = FigureOptions(config);
-      options.write_buffer_size = 256 << 10;  // constant flush+compaction load
-      options.dedicated_flush_thread = dedicated;
-      DriverResult r = RunWithOptions(options, spec, kThreads, config, "flushthread");
-      printf("dedicated_flush_thread=%-5s %10.0f writes/sec  p90=%.1fus\n",
-             dedicated ? "true" : "false", r.ops_per_sec, r.latency_micros.Percentile(90));
     }
   }
 

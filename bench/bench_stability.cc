@@ -1,35 +1,28 @@
-// Sustained-load stability benchmark (PR 6): the experiment behind the
-// write-controller tentpole. A write-heavy Zipfian workload runs for a
-// fixed wall-clock window against the cLSM chassis twice — once under the
-// legacy fixed L0 slowdown/stop triggers, once under the feedback-driven
-// WriteController — while a sampler thread captures a per-second time
-// series: throughput, p99/p999 put latency, L0 file count, the
-// controller's admitted rate, and the stall-time breakdown.
+// Sustained-load stability benchmark: a write-heavy Zipfian workload runs
+// for a fixed wall-clock window against cLSM under the feedback-driven
+// WriteController while a sampler thread captures a per-second time
+// series: throughput, p50/p99/p999 put latency, L0 file count, the
+// controller's admitted rate, and the stall time.
 //
-// The claim under test (ISSUE 6 acceptance): smoothing admission with a
-// debt-driven token bucket trades the legacy latency cliffs for a gentle
-// ramp — windowed-throughput coefficient of variation and the extreme
-// tail improve, mean throughput stays within a few percent. On small
-// hosts the put p999 bottoms out on a scheduler-noise floor shared by
-// both modes (roll waits are rarer than 1-in-1000 ops), so the summary
-// also carries p9999, where the backpressure cliffs actually live.
+// The question it answers: does debt-driven admission keep throughput and
+// the extreme tail steady under sustained load (windowed-throughput
+// coefficient of variation, p9999)? On small hosts the put p999 bottoms
+// out on a scheduler-noise floor (roll waits are rarer than 1-in-1000
+// ops), so the summary also carries p9999, where backpressure cliffs live.
 //
 // Output: bench_results/stability_timeseries.json
 //   { "figure":"stability_timeseries", "duration_ms":N, "threads":T,
-//     "modes":[ { "mode":"legacy"|"controller",
+//     "modes":[ { "mode":"controller",
 //                 "series":[ {"t_sec":..,"ops_per_sec":..,"p50_us":..,
 //                             "p99_us":..,"p999_us":..,"l0_files":..,
 //                             "rate_bytes_per_sec":..,"stall_ms":..}, ...],
 //                 "summary":{"mean_ops_per_sec":..,"throughput_cov":..,
 //                            "p99_us":..,"p999_us":..,"p9999_us":..,
-//                            "stall_ms_total":..} } ],
-//     "comparison":{"p999_improvement_pct":..,"p9999_improvement_pct":..,
-//                   "cov_improvement_pct":..,
-//                   "mean_throughput_delta_pct":..} }
+//                            "stall_ms_total":..},
+//                 "stats":{...clsm.stats.json at the end...} } ] }
 //
-// CLSM_BENCH_DURATION_MS overrides the per-mode window (CI smoke uses a
-// few seconds just to validate the schema; the acceptance run uses the
-// default or longer).
+// CLSM_BENCH_DURATION_MS overrides the window (CI smoke uses a few seconds
+// just to validate the schema).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -92,13 +85,11 @@ struct ModeResult {
   std::string final_stats_json;
 };
 
-ModeResult RunMode(WriteRateLimitMode mode, const BenchConfig& config, int threads,
-                   int duration_ms, int sample_ms) {
+ModeResult RunMode(const BenchConfig& config, int threads, int duration_ms, int sample_ms) {
   ModeResult result;
-  result.mode = mode == WriteRateLimitMode::kController ? "controller" : "legacy";
+  result.mode = "controller";
 
   Options options = FigureOptions(config);
-  options.write_rate_limit_mode = mode;
   const std::string dir = FreshDbDir("stability-" + result.mode);
   DB* raw = nullptr;
   Status s = OpenDb(DbVariant::kClsm, options, dir, &raw);
@@ -172,7 +163,6 @@ ModeResult RunMode(WriteRateLimitMode mode, const BenchConfig& config, int threa
 
     const std::string stats = db->GetProperty("clsm.stats.json");
     const uint64_t stall_micros = ExtractCounter(stats, "stall_micros") +
-                                  ExtractCounter(stats, "slowdown_micros") +
                                   ExtractCounter(stats, "rate_limit_delay_micros");
     SecondSample sample;
     sample.t_sec = elapsed;
@@ -200,8 +190,7 @@ ModeResult RunMode(WriteRateLimitMode mode, const BenchConfig& config, int threa
     w.join();
   }
 
-  // Per-window throughput statistics: the CoV is the stability metric the
-  // issue's acceptance criterion names.
+  // Per-window throughput statistics: the CoV is the stability metric.
   double sum = 0, sum_sq = 0, stall_total = 0;
   for (const SecondSample& sample : result.series) {
     sum += sample.ops_per_sec;
@@ -224,7 +213,7 @@ ModeResult RunMode(WriteRateLimitMode mode, const BenchConfig& config, int threa
   return result;
 }
 
-void EmitMode(FILE* f, const ModeResult& m, bool last) {
+void EmitMode(FILE* f, const ModeResult& m) {
   fprintf(f, "{\"mode\":\"%s\",\"series\":[", m.mode.c_str());
   for (size_t i = 0; i < m.series.size(); i++) {
     const SecondSample& s = m.series[i];
@@ -237,9 +226,9 @@ void EmitMode(FILE* f, const ModeResult& m, bool last) {
   fprintf(f,
           "\n],\"summary\":{\"mean_ops_per_sec\":%.1f,\"throughput_cov\":%.4f,"
           "\"p99_us\":%.2f,\"p999_us\":%.2f,\"p9999_us\":%.2f,\"stall_ms_total\":%.2f},"
-          "\n\"stats\":%s}%s\n",
+          "\n\"stats\":%s}\n",
           m.mean_ops_per_sec, m.throughput_cov, m.p99_us, m.p999_us, m.p9999_us, m.stall_ms_total,
-          m.final_stats_json.empty() ? "null" : m.final_stats_json.c_str(), last ? "" : ",");
+          m.final_stats_json.empty() ? "null" : m.final_stats_json.c_str());
 }
 
 }  // namespace
@@ -265,43 +254,17 @@ int main() {
                           ? config.thread_counts.back()
                           : default_threads;
 
-  PrintFigureHeader("Stability", "sustained write-heavy Zipfian load, legacy vs controller",
+  PrintFigureHeader("Stability", "sustained write-heavy Zipfian load under the write controller",
                     config);
-  printf("duration %dms per mode, %d worker threads, sample every %dms\n\n", duration_ms,
-         threads, sample_ms);
+  printf("duration %dms, %d worker threads, sample every %dms\n\n", duration_ms, threads,
+         sample_ms);
 
-  ModeResult legacy =
-      RunMode(WriteRateLimitMode::kLegacy, config, threads, duration_ms, sample_ms);
-  ModeResult controller =
-      RunMode(WriteRateLimitMode::kController, config, threads, duration_ms, sample_ms);
-
-  for (const ModeResult* m : {&legacy, &controller}) {
-    printf("--- %s ---\n", m->mode.c_str());
-    printf("  mean throughput  %.0f ops/sec\n", m->mean_ops_per_sec);
-    printf("  throughput CoV   %.4f\n", m->throughput_cov);
-    printf("  p99 / p999 / p9999  %.0f / %.0f / %.0f us\n", m->p99_us, m->p999_us,
-           m->p9999_us);
-    printf("  stall time       %.1f ms\n", m->stall_ms_total);
-  }
-  const double p999_gain = legacy.p999_us > 0
-                               ? (legacy.p999_us - controller.p999_us) / legacy.p999_us * 100.0
-                               : 0;
-  const double p9999_gain =
-      legacy.p9999_us > 0 ? (legacy.p9999_us - controller.p9999_us) / legacy.p9999_us * 100.0
-                          : 0;
-  const double cov_gain =
-      legacy.throughput_cov > 0
-          ? (legacy.throughput_cov - controller.throughput_cov) / legacy.throughput_cov * 100.0
-          : 0;
-  const double mean_delta =
-      legacy.mean_ops_per_sec > 0
-          ? (controller.mean_ops_per_sec - legacy.mean_ops_per_sec) / legacy.mean_ops_per_sec *
-                100.0
-          : 0;
-  printf(
-      "\ncontroller vs legacy: p999 %+.1f%%, p9999 %+.1f%%, CoV %+.1f%%, "
-      "mean throughput %+.1f%%\n",
-      -p999_gain, -p9999_gain, -cov_gain, mean_delta);
+  const ModeResult m = RunMode(config, threads, duration_ms, sample_ms);
+  printf("--- %s ---\n", m.mode.c_str());
+  printf("  mean throughput  %.0f ops/sec\n", m.mean_ops_per_sec);
+  printf("  throughput CoV   %.4f\n", m.throughput_cov);
+  printf("  p99 / p999 / p9999  %.0f / %.0f / %.0f us\n", m.p99_us, m.p999_us, m.p9999_us);
+  printf("  stall time       %.1f ms\n", m.stall_ms_total);
 
   int rc = system("mkdir -p bench_results");
   (void)rc;
@@ -313,12 +276,8 @@ int main() {
   fprintf(f, "{\"figure\":\"stability_timeseries\",\"scale\":\"%s\",\"duration_ms\":%d,"
              "\"threads\":%d,\"sample_ms\":%d,\n\"modes\":[\n",
           config.scale.c_str(), duration_ms, threads, sample_ms);
-  EmitMode(f, legacy, false);
-  EmitMode(f, controller, true);
-  fprintf(f,
-          "],\n\"comparison\":{\"p999_improvement_pct\":%.2f,\"p9999_improvement_pct\":%.2f,"
-          "\"cov_improvement_pct\":%.2f,\"mean_throughput_delta_pct\":%.2f}}\n",
-          p999_gain, p9999_gain, cov_gain, mean_delta);
+  EmitMode(f, m);
+  fprintf(f, "]}\n");
   fclose(f);
   printf("\nwrote bench_results/stability_timeseries.json\n");
   return 0;

@@ -1,14 +1,11 @@
 #include "src/baselines/baseline_db.h"
 
-#include <chrono>
-#include <thread>
-
 namespace clsm {
 
-BaselineDbBase::~BaselineDbBase() { StopBackgroundWork(); }
-
-void BaselineDbBase::StartMaintenance() {
-  maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
+void BaselineDbBase::RunExclusive(const std::function<void()>& section) {
+  std::lock_guard<std::mutex> l(mutex_);
+  std::unique_lock<std::shared_mutex> latch(apply_latch_);
+  section();
 }
 
 Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
@@ -66,7 +63,7 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
     return w.status;
   }
 
-  Status status = MakeRoomForWrite(lock, w.batch->ApproximateSize(), stalled_out);
+  Status status = Throttle(w.batch->ApproximateSize(), stalled_out, &lock);
   Writer* last_writer = &w;
   std::vector<Writer*> group;
   if (status.ok()) {
@@ -81,6 +78,9 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
       }
     }
 
+    // Taken under mutex_, so it never waits: the exclusive section holds
+    // mutex_ too.
+    std::shared_lock<std::shared_mutex> applying(apply_latch_);
     MemTable* mem = mem_.load(std::memory_order_acquire);
     AsyncLogger* logger = logger_.load(std::memory_order_acquire);
     const bool use_wal = !engine_.options().disable_wal;
@@ -129,6 +129,9 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
     if (use_wal && any_sync) {
       status = logger->AddRecordSync(std::string());
     }
+    // Released before relocking: the exclusive section waits for the latch
+    // while holding mutex_.
+    applying.unlock();
     lock.lock();
   }
 
@@ -149,92 +152,6 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
     writers_.front()->cv.notify_one();
   }
   return status;
-}
-
-void BaselineDbBase::SlowdownWait(std::unique_lock<std::mutex>& lock) {
-  // LevelDB's 1ms write-delay once the slowdown trigger is reached.
-  lock.unlock();
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  lock.lock();
-}
-
-// WriteThrottle adapter for the LevelDB-style variants: the caller is the
-// single-writer queue head holding mutex_; sleeps release it (followers
-// keep waiting on their queue CVs), and memtable rolls happen inline under
-// the mutex.
-class BaselineDbBase::GateClient final : public ComponentGate {
- public:
-  GateClient(BaselineDbBase* db, std::unique_lock<std::mutex>& lock)
-      : ComponentGate(db), db_(db), lock_(lock) {}
-
-  void WaitForProgress() override {
-    db_->maintenance_cv_.notify_one();
-    db_->work_done_cv_.wait_for(lock_, std::chrono::milliseconds(1));
-  }
-  uint64_t DelaySleep(uint64_t nanos) override {
-    const uint64_t t0 = MonotonicNanos();
-    lock_.unlock();
-    std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
-    lock_.lock();
-    return MonotonicNanos() - t0;
-  }
-  uint64_t LegacySlowdownSleep() override {
-    // Virtual dispatch through the variant hook: bLSM bounds the sleep by
-    // L0 pressure instead of a flat 1ms.
-    const uint64_t t0 = MonotonicNanos();
-    db_->SlowdownWait(lock_);
-    return MonotonicNanos() - t0;
-  }
-  bool TryMakeRoom() override {
-    db_->RollMemTableLocked();
-    db_->maintenance_cv_.notify_one();
-    return true;
-  }
-
- private:
-  BaselineDbBase* const db_;
-  std::unique_lock<std::mutex>& lock_;
-};
-
-Status BaselineDbBase::MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
-                                        bool* stalled_out) {
-  GateClient client(this, lock);
-  return throttle_->Gate(&client, bytes, stalled_out);
-}
-
-void BaselineDbBase::RollMemTableLocked() {
-  Roll roll;
-  if (PrepareRoll(&roll)) {
-    engine_.listeners().NotifyMemtableRoll(InstallRoll(&roll));
-  }
-}
-
-void BaselineDbBase::ClearImmutable() {
-  std::lock_guard<std::mutex> l(mutex_);
-  imm_.store(nullptr, std::memory_order_release);
-  imm_exists_.store(false, std::memory_order_release);
-}
-
-void BaselineDbBase::MaintenanceLoop() {
-  while (!shutting_down_.load(std::memory_order_acquire)) {
-    const bool blocked = engine_.bg_error()->writes_blocked();
-    bool need_flush = !blocked && imm_exists_.load(std::memory_order_acquire);
-    bool need_compact = !blocked && engine_.NeedsCompaction();
-    if (!need_flush && !need_compact) {
-      std::unique_lock<std::mutex> l(maintenance_mutex_);
-      maintenance_cv_.wait_for(l, std::chrono::milliseconds(2));
-      continue;
-    }
-    if (need_flush) {
-      FlushImmutable();
-    }
-    if (need_compact && engine_.NeedsCompaction()) {
-      bool did_work = false;
-      // Failures latch inside RunCompaction (kCompaction/kManifestWrite).
-      engine_.CompactOnce(SmallestLiveSnapshot(), &did_work);
-    }
-    work_done_cv_.notify_all();
-  }
 }
 
 void BaselineDbBase::RefReadComponents(MemTable** mem, MemTable** imm) {
@@ -297,8 +214,11 @@ void BaselineDbBase::ReleaseSnapshot(const Snapshot* snapshot) { snapshots_.Rele
 
 Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice& key,
                                        const RmwFunction& f, bool* performed) {
-  // Coarse default: atomicity via the global mutex (writes are serialized
-  // anyway). The lock-striping variant (Fig 9's baseline) overrides this.
+  // Coarse default: atomicity via the exclusive section. The mutex alone
+  // is not enough: a queue head applies its group, and HyperLevelDB
+  // inserts, outside it, and an RMW interleaved with them would reuse
+  // their sequence numbers and could publish a smaller last sequence. The
+  // lock-striping variant (Fig 9's baseline) overrides this.
   if (performed != nullptr) {
     *performed = false;
   }
@@ -312,8 +232,9 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
   uint64_t written_bytes = 0;
   {
     std::lock_guard<std::mutex> l(mutex_);
-    // The mutex keeps the component pointers stable and the roll from
-    // retiring them mid-read.
+    std::unique_lock<std::shared_mutex> latch(apply_latch_);
+    // The section also keeps the component pointers stable and the roll
+    // from retiring them mid-read.
     std::string current;
     SequenceNumber seq_found = 0;
     std::optional<Slice> cur;
@@ -344,21 +265,6 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
   FinishOp(DbOpType::kRmw, key, written_bytes,
            did_write ? OpOutcome::kOk : OpOutcome::kNotFound, t0, /*stalled=*/false);
   return Status::OK();
-}
-
-void BaselineDbBase::WaitForMaintenance() {
-  while (true) {
-    if (!engine_.bg_error()->ok()) {
-      return;  // maintenance is wedged; nothing further to wait for
-    }
-    const bool busy =
-        imm_exists_.load(std::memory_order_acquire) || engine_.NeedsCompaction() || MemFull();
-    if (!busy) {
-      return;
-    }
-    maintenance_cv_.notify_one();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 }  // namespace clsm

@@ -9,9 +9,9 @@
 //    each read and write;
 //  * writes are funneled through a single-writer queue with group commit;
 //  * snapshots are a bare sequence read under the mutex (no Active set —
-//    safe because writes are serialized);
-//  * one maintenance thread flushes and runs compactions inline, like
-//    LevelDB's single background thread.
+//    safe because writes are serialized).
+// Maintenance is the chassis' for every variant: the roll/flush thread
+// enters the exclusive section (RunExclusive) to swap the memtables.
 // Subclasses override hooks to model each competitor's deviation.
 #ifndef CLSM_BASELINES_BASELINE_DB_H_
 #define CLSM_BASELINES_BASELINE_DB_H_
@@ -21,6 +21,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 
 #include "src/core/lsm_db_chassis.h"
@@ -31,8 +32,7 @@ namespace clsm {
 class BaselineDbBase : public LsmDbChassis {
  public:
   BaselineDbBase(const Options& options, const std::string& dbname)
-      : LsmDbChassis(options, dbname, /*leveldb_gate=*/true) {}
-  ~BaselineDbBase() override;
+      : LsmDbChassis(options, dbname) {}
 
   Status Put(const WriteOptions& options, const Slice& key, const Slice& value) override;
   Status Delete(const WriteOptions& options, const Slice& key) override;
@@ -43,7 +43,6 @@ class BaselineDbBase : public LsmDbChassis {
   void ReleaseSnapshot(const Snapshot* snapshot) override;
   Status ReadModifyWrite(const WriteOptions& options, const Slice& key, const RmwFunction& f,
                          bool* performed) override;
-  void WaitForMaintenance() override;
 
  protected:
   // --- variant hooks ---
@@ -51,11 +50,6 @@ class BaselineDbBase : public LsmDbChassis {
   // False: readers use epoch-protected pointer loads (RocksDB's thread-
   // local metadata caching, which avoids locks on the read path).
   virtual bool ReadersTakeMutex() const { return true; }
-
-  // Called with mutex_ held when level 0 is past the slowdown trigger; the
-  // bLSM variant overrides to bound the stall (its merge scheduler bounds
-  // write blocking).
-  virtual void SlowdownWait(std::unique_lock<std::mutex>& lock);
 
   // --- shared machinery ---
   struct Writer {
@@ -73,18 +67,12 @@ class BaselineDbBase : public LsmDbChassis {
   Status QueuedWrite(DbOpType op, const WriteOptions& options, WriteBatch* batch,
                      const Slice& key, uint64_t bytes);
   // stalled_out (when non-null) is set to true if this writer, as queue
-  // head, waited in MakeRoomForWrite. Followers in the group-commit queue
-  // report false: their queue wait is ordinary contention, not backpressure.
+  // head, waited in the admission gate. Only queue heads pass the gate,
+  // charging their own batch's bytes; followers in the group-commit queue
+  // report false: their queue wait is ordinary contention, not
+  // backpressure.
   Status WriteLocked(const WriteOptions& options, WriteBatch* updates,
                      bool* stalled_out = nullptr);
-  // Admission for one write of `bytes` payload through the shared
-  // WriteThrottle gate (hard stalls, rate limiting / legacy slowdown,
-  // inline memtable rolls). Group-commit followers are not gated — only
-  // queue heads pass through, charging their own batch's bytes.
-  Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
-                          bool* stalled_out = nullptr);
-  virtual void RollMemTableLocked();  // requires mutex_
-  void MaintenanceLoop();
   // Loads and references Pm/P'm under the variant's read protection.
   void RefReadComponents(MemTable** mem, MemTable** imm);
   // Read at the last published sequence (or options.snapshot) without the
@@ -96,21 +84,30 @@ class BaselineDbBase : public LsmDbChassis {
   SequenceNumber CurrentSequence() override {
     return last_sequence_.load(std::memory_order_acquire);
   }
-  void ClearImmutable() override;
-  void StartMaintenance() override;
+  // mutex_, then the apply latch in exclusive mode.
+  void RunExclusive(const std::function<void()>& section) override;
 
   std::mutex mutex_;  // LevelDB's global lock
+  // Held shared by every memtable insert made outside mutex_ (the queue
+  // head's group apply, HyperLevelDB's concurrent inserts) so that the
+  // exclusive section cannot retire the memtable and its WAL under them.
+  // Taken after mutex_ when both are needed.
+  std::shared_mutex apply_latch_;
   std::atomic<SequenceNumber> last_sequence_{0};
   std::deque<Writer*> writers_;  // guarded by mutex_
-
- private:
-  class GateClient;
 };
 
 // Opens a baseline variant T (constructible from Options and dbname).
 template <typename T>
 Status OpenBaseline(const Options& options, const std::string& dbname, DB** dbptr) {
-  return LsmDbChassis::Open(std::make_unique<T>(options, dbname), dbptr);
+  // The most-derived destructor stops the background threads, before any
+  // base destructor rewrites the vtable pointer they call hooks through.
+  class Db final : public T {
+   public:
+    using T::T;
+    ~Db() override { this->StopBackgroundWork(); }
+  };
+  return LsmDbChassis::Open(std::make_unique<Db>(options, dbname), dbptr);
 }
 
 }  // namespace clsm

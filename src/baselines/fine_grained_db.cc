@@ -1,5 +1,3 @@
-#include <shared_mutex>
-
 #include "src/baselines/baseline_db.h"
 #include "src/baselines/variants.h"
 #include "src/util/hash.h"
@@ -11,10 +9,10 @@ namespace {
 // HyperLevelDB's key improvement over LevelDB (paper §6): fine-grained
 // locking lets multiple writers insert into the memtable concurrently.
 // Writers assign sequence numbers atomically and serialize only per key
-// stripe; the memtable roll excludes in-flight inserts with a
-// shared-exclusive latch. The read path stays LevelDB's (brief global
+// stripe; the memtable roll excludes in-flight inserts through the base's
+// apply latch. The read path stays LevelDB's (brief global
 // mutex), which is why this variant stops scaling on read-heavy loads.
-class HyperStyleDb final : public BaselineDbBase {
+class HyperStyleDb : public BaselineDbBase {
  public:
   using BaselineDbBase::BaselineDbBase;
 
@@ -42,14 +40,12 @@ class HyperStyleDb final : public BaselineDbBase {
     }
     const uint64_t t0 = StartOp();
     bool stalled = false;
-    // Slow path only when backpressure may apply: take the global mutex and
-    // run the shared admission gate (including the roll). GateLikelyNeeded
-    // covers both policies — legacy's L0 slowdown trigger and the
-    // controller's throttled/refresh-due states — so the lock-free fast
-    // path survives the mode switch.
+    // Slow path only when backpressure may apply (a full memtable, or the
+    // controller throttled or due to resample its debt): take the global
+    // mutex and run the admission gate.
     if (MemFull() || throttle_->GateLikelyNeeded()) {
       std::unique_lock<std::mutex> l(mutex_);
-      s = MakeRoomForWrite(l, key.size() + value.size(), &stalled);
+      s = Throttle(key.size() + value.size(), &stalled, &l);
     }
     if (s.ok()) {
       s = Insert(options, type, key, value);
@@ -63,10 +59,10 @@ class HyperStyleDb final : public BaselineDbBase {
     return s;
   }
 
-  // Fast path: concurrent insert under the roll latch + key stripe.
+  // Fast path: concurrent insert under the apply latch + key stripe.
   Status Insert(const WriteOptions& options, ValueType type, const Slice& key,
                 const Slice& value) {
-    std::shared_lock<std::shared_mutex> roll_guard(roll_latch_);
+    std::shared_lock<std::shared_mutex> applying(apply_latch_);
     MemTable* mem = mem_.load(std::memory_order_acquire);
     SequenceNumber seq = last_sequence_.fetch_add(1, std::memory_order_acq_rel) + 1;
     const bool pt = tls_perf_context.timers_enabled();
@@ -102,14 +98,6 @@ class HyperStyleDb final : public BaselineDbBase {
     return s;
   }
 
-  void RollMemTableLocked() override {
-    // Exclude in-flight fast-path inserts so none lands in a retired
-    // memtable after the flush has scanned past it.
-    std::unique_lock<std::shared_mutex> ex(roll_latch_);
-    BaselineDbBase::RollMemTableLocked();
-  }
-
-  std::shared_mutex roll_latch_;
   std::mutex stripes_[kStripes];
 };
 

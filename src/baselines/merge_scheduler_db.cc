@@ -1,6 +1,3 @@
-#include <chrono>
-#include <thread>
-
 #include "src/baselines/baseline_db.h"
 #include "src/baselines/variants.h"
 
@@ -9,27 +6,17 @@ namespace clsm {
 namespace {
 
 // bLSM (paper §6): a single-writer prototype whose merge scheduler bounds
-// the time a merge may block writes. We keep the base's single-writer queue
-// and replace LevelDB's unbounded backpressure stalls with short, bounded
-// delays proportional to how far level 0 has overshot its trigger — spring
-// throttling in place of hard gates.
-class BlsmStyleDb final : public BaselineDbBase {
+// the time a merge may block writes. Its in-memory concurrency control is
+// LevelDB's — the base's single-writer queue and global mutex — and its
+// bounded merge stalls are the shared write controller every variant runs
+// (src/lsm/write_controller.h), which models bLSM's spring-and-gear
+// scheduler: delays ramp with merge debt instead of cliffing. The variant
+// is kept so the figures list bLSM by name.
+class BlsmStyleDb : public BaselineDbBase {
  public:
   using BaselineDbBase::BaselineDbBase;
 
   const char* Name() const override { return "blsm"; }
-
- protected:
-  void SlowdownWait(std::unique_lock<std::mutex>& lock) override {
-    // Bounded, proportional delay: the scheduler never blocks a write for
-    // longer than a few hundred microseconds at a time.
-    const int l0 = engine_.NumLevelFiles(0);
-    const int over = l0 - engine_.options().l0_slowdown_trigger;
-    const int micros = std::min(500, 50 * std::max(1, over));
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::microseconds(micros));
-    lock.lock();
-  }
 };
 
 }  // namespace

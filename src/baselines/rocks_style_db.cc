@@ -12,7 +12,7 @@ namespace {
 // keep the base's write queue, matching the paper's observed shape: reads
 // scale far past the hardware thread count (Fig 6a), writes stay flat
 // (Fig 5a).
-class RocksStyleDb final : public BaselineDbBase {
+class RocksStyleDb : public BaselineDbBase {
  public:
   using BaselineDbBase::BaselineDbBase;
 

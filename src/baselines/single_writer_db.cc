@@ -7,7 +7,7 @@ namespace {
 
 // The base class *is* the original LevelDB architecture; this variant only
 // names it.
-class LevelStyleDb final : public BaselineDbBase {
+class LevelStyleDb : public BaselineDbBase {
  public:
   using BaselineDbBase::BaselineDbBase;
 

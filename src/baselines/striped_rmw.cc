@@ -12,7 +12,7 @@ namespace {
 // built on lock striping (Gray & Reuter). Every write and RMW holds an
 // exclusive granular lock for its key's stripe; reads are unchanged. The
 // paper measures cLSM's optimistic RMW at ~2.5x this design.
-class StripedRmwDb final : public BaselineDbBase {
+class StripedRmwDb : public BaselineDbBase {
  public:
   using BaselineDbBase::BaselineDbBase;
 

@@ -21,8 +21,8 @@ Status OpenHyperStyleDb(const Options& options, const std::string& dbname, DB** 
 // thread-locally cached metadata. Reads scale; writes do not.
 Status OpenRocksStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
 
-// bLSM: single-writer with a merge scheduler that bounds how long merges
-// may block writes (gentler backpressure than LevelDB's hard stalls).
+// bLSM: LevelDB's single-writer concurrency control; its bounded merge
+// stalls are the write controller every variant shares.
 Status OpenBlsmStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
 
 // LevelDB + textbook lock-striping RMW (the Fig 9 baseline): every write

@@ -1,7 +1,6 @@
 #include "src/core/clsm_db.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/core/write_batch.h"
 #include "src/sync/backoff.h"
@@ -13,7 +12,7 @@ Status ClsmDb::Open(const Options& options, const std::string& dbname, DB** dbpt
 }
 
 ClsmDb::ClsmDb(const Options& options, const std::string& dbname)
-    : LsmDbChassis(options, dbname, /*leveldb_gate=*/false) {
+    : LsmDbChassis(options, dbname) {
   active_set_ = &active_;
 }
 
@@ -24,18 +23,10 @@ void ClsmDb::RestoreSequence(SequenceNumber last) {
   snap_time_.store(0, std::memory_order_relaxed);
 }
 
-void ClsmDb::StartMaintenance() {
-  maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
-  // Compactions run on the engine's worker pool; the maintenance thread is
-  // thereby a dedicated flush thread (§5.3's reserved-thread setup).
-  engine_.StartCompactionScheduler(
-      engine_.options().compaction_threads, [this] { return SmallestLiveSnapshot(); },
-      [this](const Status&) {
-        // The engine already latched the error; wake stalled writers so
-        // they observe it instead of waiting out the 1ms poll.
-        std::lock_guard<std::mutex> l(maintenance_mutex_);
-        work_done_cv_.notify_all();
-      });
+void ClsmDb::RunExclusive(const std::function<void()>& section) {
+  lock_.LockExclusive();
+  section();
+  lock_.UnlockExclusive();
 }
 
 SequenceNumber ClsmDb::GetTS() {
@@ -99,44 +90,6 @@ SequenceNumber ClsmDb::AcquireScanTimestamp() {
   return snap_time_.load(std::memory_order_seq_cst);
 }
 
-// WriteThrottle adapter for cLSM: puts run lock-free, so the gate observes
-// the component pointers directly and waits (when it must) on the
-// maintenance machinery's 1ms-poll condition variable.
-class ClsmDb::GateClient final : public ComponentGate {
- public:
-  explicit GateClient(ClsmDb* db) : ComponentGate(db), db_(db) {}
-
-  bool ShuttingDown() override { return db_->shutting_down_.load(std::memory_order_acquire); }
-  void WaitForProgress() override {
-    std::unique_lock<std::mutex> l(db_->maintenance_mutex_);
-    db_->maintenance_cv_.notify_one();
-    db_->work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
-  }
-  uint64_t DelaySleep(uint64_t nanos) override {
-    const uint64_t t0 = MonotonicNanos();
-    std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
-    return MonotonicNanos() - t0;
-  }
-  uint64_t LegacySlowdownSleep() override {
-    // The original bounded slowdown: delay this put once by ~1ms so
-    // compaction gains on the writers before the stop trigger is reached.
-    return DelaySleep(1'000'000);
-  }
-
- private:
-  ClsmDb* const db_;
-};
-
-Status ClsmDb::ThrottleIfNeeded(uint64_t bytes, bool* stalled_out) {
-  // cLSM never blocks puts in normal operation; the waits live in the
-  // shared WriteThrottle gate — Cm full while C'm is still merging
-  // (heavy-compaction mode, §5.3), the L0 safety valve, and the admission
-  // delay (token bucket or legacy bounded slowdown). See
-  // src/lsm/write_controller.h.
-  GateClient client(this);
-  return throttle_->Gate(&client, bytes, stalled_out);
-}
-
 Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Slice& key,
                            const Slice& value) {
   stats_.Bump(type == kTypeValue ? stats_.puts_total : stats_.deletes_total);
@@ -148,7 +101,7 @@ Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Sl
   const bool pt = tls_perf_context.timers_enabled();
   const DbOpType op = type == kTypeValue ? DbOpType::kPut : DbOpType::kDelete;
   bool op_stalled = false;
-  Status throttle_status = ThrottleIfNeeded(key.size() + value.size(), &op_stalled);
+  Status throttle_status = Throttle(key.size() + value.size(), &op_stalled);
   if (!throttle_status.ok()) {
     FinishOp(op, key, value.size(), OpOutcome::kError, t0, op_stalled);
     return throttle_status;
@@ -224,7 +177,7 @@ Status ClsmDb::Write(const WriteOptions& options, WriteBatch* updates) {
   // per-op key/value breakdown is not traced; replay skips kWrite records).
   const uint64_t batch_bytes = BatchBytes(*updates);
   bool op_stalled = false;
-  Status throttle_status = ThrottleIfNeeded(batch_bytes, &op_stalled);
+  Status throttle_status = Throttle(batch_bytes, &op_stalled);
   if (!throttle_status.ok()) {
     FinishOp(DbOpType::kWrite, Slice(), batch_bytes, OpOutcome::kError, t0, op_stalled);
     return throttle_status;
@@ -336,7 +289,7 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
   }
   const uint64_t t0 = StartOp();
   bool op_stalled = false;
-  Status throttle_status = ThrottleIfNeeded(key.size(), &op_stalled);
+  Status throttle_status = Throttle(key.size(), &op_stalled);
   if (!throttle_status.ok()) {
     FinishOp(DbOpType::kRmw, key, 0, OpOutcome::kError, t0, op_stalled);
     return throttle_status;
@@ -401,87 +354,6 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
            !result.ok() ? OpOutcome::kError : (did_write ? OpOutcome::kOk : OpOutcome::kNotFound),
            t0, op_stalled);
   return result;
-}
-
-void ClsmDb::RollMemTable() {
-  // beforeMerge (Algorithm 1/2): prepare the new component and WAL outside
-  // the exclusive section so puts are blocked only for the pointer swaps.
-  Roll roll;
-  if (!PrepareRoll(&roll)) {
-    return;
-  }
-  lock_.LockExclusive();
-  const size_t retired_bytes = InstallRoll(&roll);
-  lock_.UnlockExclusive();
-  engine_.listeners().NotifyMemtableRoll(retired_bytes);
-}
-
-void ClsmDb::ClearImmutable() {
-  lock_.LockExclusive();
-  imm_.store(nullptr, std::memory_order_release);
-  imm_exists_.store(false, std::memory_order_release);
-  lock_.UnlockExclusive();
-}
-
-void ClsmDb::MaintenanceLoop() {
-  // Rolls and flushes only — this thread is §5.3's reserved flush thread.
-  // Compactions are picked and dispatched by the engine's worker pool
-  // (StartCompactionScheduler), so a long merge never delays the
-  // Cm -> C'm roll. Version-set mutation stays serialized because
-  // LogAndApply itself is internally locked.
-  while (true) {
-    bool need_roll = false;
-    bool need_flush = false;
-    {
-      std::unique_lock<std::mutex> l(maintenance_mutex_);
-      while (!shutting_down_.load(std::memory_order_acquire)) {
-        // With a hard error latched there is nothing useful to do: rolling
-        // would orphan more WALs and flushing would retire a log whose
-        // durability is unknown. Park until shutdown (or reopen).
-        const bool blocked = engine_.bg_error()->writes_blocked();
-        need_flush = !blocked && imm_exists_.load(std::memory_order_acquire);
-        need_roll = !blocked && !need_flush && MemFull();
-        if (need_roll || need_flush) {
-          break;
-        }
-        maintenance_cv_.wait_for(l, std::chrono::milliseconds(2));
-      }
-    }
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      // Final drain: flush nothing (WAL provides durability), just exit.
-      return;
-    }
-    if (need_roll) {
-      RollMemTable();
-    }
-    if (imm_exists_.load(std::memory_order_acquire) &&
-        !engine_.bg_error()->writes_blocked()) {
-      FlushImmutable();
-    }
-    work_done_cv_.notify_all();
-  }
-}
-
-void ClsmDb::WaitForMaintenance() {
-  while (true) {
-    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle();
-    if (!busy) {
-      // Pin the memtable while probing its size: the maintenance thread
-      // frees rolled memtables only after an epoch Synchronize.
-      EpochGuard guard(*engine_.epochs());
-      busy = MemFull();
-    }
-    if (!busy) {
-      return;
-    }
-    std::unique_lock<std::mutex> l(maintenance_mutex_);
-    if (!engine_.bg_error()->ok()) {
-      return;  // maintenance is wedged; nothing further to wait for
-    }
-    maintenance_cv_.notify_one();
-    engine_.SignalCompaction();
-    work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
-  }
 }
 
 }  // namespace clsm

@@ -41,21 +41,19 @@ class ClsmDb final : public LsmDbChassis {
   Status ReadModifyWrite(const WriteOptions& options, const Slice& key, const RmwFunction& f,
                          bool* performed) override;
   const char* Name() const override { return "clsm"; }
-  void WaitForMaintenance() override;
 
   // Exposed for tests: the timestamp a fresh serializable scan would use.
   SequenceNumber AcquireScanTimestampForTest() { return AcquireScanTimestamp(); }
 
  private:
-  class GateClient;
-
   ClsmDb(const Options& options, const std::string& dbname);
 
   // Chassis hooks.
   void RestoreSequence(SequenceNumber last) override;
   SequenceNumber CurrentSequence() override { return time_counter_.Get(); }
-  void ClearImmutable() override;
-  void StartMaintenance() override;
+  // The shared-exclusive lock in exclusive mode: the beforeMerge /
+  // afterMerge pointer swaps of Algorithm 1.
+  void RunExclusive(const std::function<void()>& section) override;
 
   // Algorithm 2, getTS: acquire a fresh put timestamp, registered in the
   // Active set, retrying while it would invalidate a concurrent snapshot.
@@ -69,28 +67,6 @@ class ClsmDb final : public LsmDbChassis {
 
   Status PutInternal(const WriteOptions& options, ValueType type, const Slice& key,
                      const Slice& value);
-
-  // Backpressure, via the shared WriteThrottle gate: wait while Cm is full
-  // but C'm has not finished merging (heavy-compaction mode, §5.3) or
-  // while level 0 is past the hard threshold, and meter `bytes` through
-  // the write controller's token bucket (kController mode) or apply the
-  // legacy bounded slowdown sleep (kLegacy), so L0 growth degrades writers
-  // gradually instead of cliff-stalling them. All waiting time is recorded
-  // in Stats. Returns the latched background error, if any, so writers
-  // fail fast instead of stalling behind a maintenance pipeline that
-  // cannot make progress. When stalled_out is non-null it is set to true
-  // if this call waited at all (hard stall or admission delay) — the
-  // per-op "stalled" bit of slow-op records.
-  Status ThrottleIfNeeded(uint64_t bytes, bool* stalled_out = nullptr);
-
-  // Maintenance thread: rolls memtables (beforeMerge) and flushes them
-  // (merge + afterMerge, in the chassis). Compactions run on the storage
-  // engine's worker pool (Options::compaction_threads workers picking
-  // disjoint jobs), so rolls and flushes never queue behind long merges —
-  // the reserved-flush-thread configuration of §5.3 is always in effect
-  // and Options::dedicated_flush_thread is subsumed.
-  void MaintenanceLoop();
-  void RollMemTable();  // beforeMerge
 
   // --- cLSM synchronization state ---
   SharedExclusiveLock lock_;       // "Lock" of Algorithms 1-3

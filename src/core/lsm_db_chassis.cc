@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 
 #include "src/core/db_iter.h"
@@ -12,7 +13,7 @@
 
 namespace clsm {
 
-LsmDbChassis::LsmDbChassis(const Options& options, const std::string& dbname, bool leveldb_gate)
+LsmDbChassis::LsmDbChassis(const Options& options, const std::string& dbname)
     : dbname_(dbname),
       admin_slow_ring_(options.admin_port >= 0 ? std::make_shared<SlowOpRingListener>()
                                                : nullptr),
@@ -26,9 +27,7 @@ LsmDbChassis::LsmDbChassis(const Options& options, const std::string& dbname, bo
       // engine's own slow-op records.
       rpc_(admin_slow_ring_) {
   engine_.SetStatsRegistry(metrics_on_ ? &registry_ : nullptr);
-  throttle_ = std::make_unique<WriteThrottle>(&engine_, &stats_,
-                                              /*fail_on_any_bg_error=*/leveldb_gate,
-                                              /*stop_only_when_mem_full=*/leveldb_gate);
+  throttle_ = std::make_unique<WriteThrottle>(&engine_, &stats_);
   throttle_->SetRegistry(metrics_on_ ? &registry_ : nullptr);
   trace_ops_ = engine_.listeners().has_op_listeners();
   attributed_ops_ = trace_ops_ || slow_op_threshold_nanos_ != 0;
@@ -51,11 +50,11 @@ Status LsmDbChassis::Init() {
   if (s.ok()) {
     RestoreSequence(max_seq);
     // Fresh WAL for the new mutable memtable.
-    Roll roll;
-    if (PrepareLog(&roll, &s)) {
-      logger_.store(roll.logger.release(), std::memory_order_release);
-      log_number_.store(roll.log_number, std::memory_order_relaxed);
-    }
+    std::unique_ptr<AsyncLogger> logger;
+    uint64_t log_number = 0;
+    s = PrepareLog(&logger, &log_number);
+    logger_.store(logger.release(), std::memory_order_release);
+    log_number_.store(log_number, std::memory_order_relaxed);
   }
   if (s.ok()) {
     // Publish the recovered timestamp before any manifest edit is written
@@ -79,7 +78,15 @@ Status LsmDbChassis::Init() {
   engine_.RemoveObsoleteFiles(log_number_, /*include_tables=*/true);
 
   mem_.store(new MemTable(*engine_.icmp()), std::memory_order_release);
-  StartMaintenance();
+  maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
+  engine_.StartCompactionScheduler(
+      engine_.options().compaction_threads, [this] { return SmallestLiveSnapshot(); },
+      [this](const Status&) {
+        // The engine already latched the error; wake stalled writers so
+        // they observe it instead of waiting out the 1ms poll.
+        std::lock_guard<std::mutex> l(maintenance_mutex_);
+        work_done_cv_.notify_all();
+      });
   const Options& options = engine_.options();
   if (options.stats_dump_period_sec > 0) {
     reporter_ = std::make_unique<StatsReporter>(
@@ -93,7 +100,6 @@ Status LsmDbChassis::Init() {
           c.compactions = engine_.compaction_stats()->TotalCompactions();
           c.stall_micros = stats_.TotalStallMicros();
           c.hard_stall_micros = stats_.stall_micros.load(std::memory_order_relaxed);
-          c.slowdown_micros = stats_.slowdown_micros.load(std::memory_order_relaxed);
           c.rate_delay_micros = stats_.rate_limit_delay_micros.load(std::memory_order_relaxed);
           std::shared_ptr<RpcServerStats> rpc = rpc_.stats();
           c.rpc_requests = rpc != nullptr ? rpc->TotalRequests() : 0;
@@ -287,34 +293,73 @@ Iterator* LsmDbChassis::NewIteratorAt(const ReadOptions& options, MemTable* mem,
                                      metrics_on_ ? &registry_ : nullptr);
 }
 
-bool LsmDbChassis::PrepareRoll(Roll* roll) {
-  Status s;
-  if (!PrepareLog(roll, &s)) {
-    engine_.RecordBackgroundError(BgErrorReason::kMemtableRoll, s);
-    return false;
-  }
-  roll->mem = new MemTable(*engine_.icmp());
-  return true;
-}
-
-bool LsmDbChassis::PrepareLog(Roll* roll, Status* s) {
+Status LsmDbChassis::PrepareLog(std::unique_ptr<AsyncLogger>* logger, uint64_t* log_number) {
   if (engine_.options().disable_wal) {
-    roll->log_number = engine_.versions()->NewFileNumber();
-    return true;
+    *log_number = engine_.versions()->NewFileNumber();
+    return Status::OK();
   }
-  *s = engine_.NewLog(&roll->log_number, &roll->logger);
-  return s->ok();
+  return engine_.NewLog(log_number, logger);
 }
 
-size_t LsmDbChassis::InstallRoll(Roll* roll) {
-  MemTable* old_mem = mem_.load(std::memory_order_relaxed);
-  imm_.store(old_mem, std::memory_order_release);   // P'm <- Pm
-  mem_.store(roll->mem, std::memory_order_release);  // Pm <- new component
-  imm_logger_.reset(logger_.exchange(roll->logger.release(), std::memory_order_acq_rel));
-  log_number_.store(roll->log_number, std::memory_order_relaxed);
-  imm_exists_.store(true, std::memory_order_release);
+void LsmDbChassis::MaintenanceLoop() {
+  // Rolls and flushes only. Compactions are picked and dispatched by the
+  // engine's worker pool, so a long merge never delays the Cm -> C'm roll.
+  // Version-set mutation stays serialized because LogAndApply itself is
+  // internally locked.
+  while (true) {
+    bool need_roll = false;
+    bool need_flush = false;
+    {
+      std::unique_lock<std::mutex> l(maintenance_mutex_);
+      while (!shutting_down_.load(std::memory_order_acquire)) {
+        // With a hard error latched there is nothing useful to do: rolling
+        // would orphan more WALs and flushing would retire a log whose
+        // durability is unknown. Park until shutdown (or reopen).
+        const bool blocked = engine_.bg_error()->writes_blocked();
+        need_flush = !blocked && imm_exists_.load(std::memory_order_acquire);
+        need_roll = !blocked && !need_flush && MemFull();
+        if (need_roll || need_flush) {
+          break;
+        }
+        maintenance_cv_.wait_for(l, std::chrono::milliseconds(2));
+      }
+    }
+    if (shutting_down_.load(std::memory_order_acquire)) {
+      // Final drain: flush nothing (WAL provides durability), just exit.
+      return;
+    }
+    if (need_roll) {
+      RollMemTable();
+    }
+    if (imm_exists_.load(std::memory_order_acquire) &&
+        !engine_.bg_error()->writes_blocked()) {
+      FlushImmutable();
+    }
+    work_done_cv_.notify_all();
+  }
+}
+
+void LsmDbChassis::RollMemTable() {
+  std::unique_ptr<AsyncLogger> logger;
+  uint64_t log_number = 0;
+  Status s = PrepareLog(&logger, &log_number);
+  if (!s.ok()) {
+    engine_.RecordBackgroundError(BgErrorReason::kMemtableRoll, s);
+    return;
+  }
+  MemTable* fresh = new MemTable(*engine_.icmp());
+  size_t retired_bytes = 0;
+  RunExclusive([&] {
+    MemTable* old_mem = mem_.load(std::memory_order_relaxed);
+    imm_.store(old_mem, std::memory_order_release);  // P'm <- Pm
+    mem_.store(fresh, std::memory_order_release);    // Pm <- new component
+    imm_logger_.reset(logger_.exchange(logger.release(), std::memory_order_acq_rel));
+    log_number_.store(log_number, std::memory_order_relaxed);
+    imm_exists_.store(true, std::memory_order_release);
+    retired_bytes = old_mem->ApproximateMemoryUsage();
+  });
   stats_.Bump(stats_.memtable_rolls);
-  return old_mem->ApproximateMemoryUsage();
+  engine_.listeners().NotifyMemtableRoll(retired_bytes);
 }
 
 void LsmDbChassis::FlushImmutable() {
@@ -353,7 +398,10 @@ void LsmDbChassis::FlushImmutable() {
   // afterMerge: Pd was already switched by the version install inside
   // FlushMemTable; now clear P'm and retire the old component once all
   // concurrent readers are done with it.
-  ClearImmutable();
+  RunExclusive([this] {
+    imm_.store(nullptr, std::memory_order_release);
+    imm_exists_.store(false, std::memory_order_release);
+  });
   engine_.epochs()->Synchronize();
   imm->Unref();
 
@@ -362,10 +410,82 @@ void LsmDbChassis::FlushImmutable() {
   engine_.SignalCompaction();
 }
 
-double LsmDbChassis::ComponentGate::MemFillFraction() {
-  MemTable* m = db_->mem_.load(std::memory_order_acquire);
-  return static_cast<double>(m->ApproximateMemoryUsage()) /
-         static_cast<double>(std::max<size_t>(1, db_->engine_.options().write_buffer_size));
+void LsmDbChassis::WaitForMaintenance() {
+  while (true) {
+    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle();
+    if (!busy) {
+      // Pin the memtable while probing its size: the maintenance thread
+      // frees rolled memtables only after an epoch Synchronize.
+      EpochGuard guard(*engine_.epochs());
+      busy = MemFull();
+    }
+    if (!busy) {
+      return;
+    }
+    std::unique_lock<std::mutex> l(maintenance_mutex_);
+    if (!engine_.bg_error()->ok()) {
+      return;  // maintenance is wedged; nothing further to wait for
+    }
+    maintenance_cv_.notify_one();
+    engine_.SignalCompaction();
+    work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
+  }
+}
+
+// The WriteThrottle client over the component state. Writers that hold
+// their variant's mutex (the LevelDB-style queue head) release it for every
+// wait and sleep, so the maintenance thread can enter the exclusive
+// section meanwhile.
+class LsmDbChassis::ComponentGate final : public WriteThrottle::Client {
+ public:
+  ComponentGate(LsmDbChassis* db, std::unique_lock<std::mutex>* held) : db_(db), held_(held) {}
+
+  bool MemFull() override { return db_->MemFull(); }
+  double MemFillFraction() override {
+    MemTable* m = db_->mem_.load(std::memory_order_acquire);
+    return static_cast<double>(m->ApproximateMemoryUsage()) /
+           static_cast<double>(std::max<size_t>(1, db_->engine_.options().write_buffer_size));
+  }
+  bool ImmExists() override { return db_->imm_exists_.load(std::memory_order_acquire); }
+  bool ShuttingDown() override { return db_->shutting_down_.load(std::memory_order_acquire); }
+  void KickMaintenance() override { db_->maintenance_cv_.notify_one(); }
+  void WaitForProgress() override {
+    Unheld unheld(held_);
+    std::unique_lock<std::mutex> l(db_->maintenance_mutex_);
+    db_->maintenance_cv_.notify_one();
+    db_->work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
+  }
+  uint64_t DelaySleep(uint64_t nanos) override {
+    Unheld unheld(held_);
+    const uint64_t t0 = MonotonicNanos();
+    std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
+    return MonotonicNanos() - t0;
+  }
+
+ private:
+  // Releases the writer's held lock, if any, for one scope.
+  struct Unheld {
+    explicit Unheld(std::unique_lock<std::mutex>* held) : held(held) {
+      if (held != nullptr) {
+        held->unlock();
+      }
+    }
+    ~Unheld() {
+      if (held != nullptr) {
+        held->lock();
+      }
+    }
+    std::unique_lock<std::mutex>* const held;
+  };
+
+  LsmDbChassis* const db_;
+  std::unique_lock<std::mutex>* const held_;
+};
+
+Status LsmDbChassis::Throttle(uint64_t bytes, bool* stalled_out,
+                              std::unique_lock<std::mutex>* held) {
+  ComponentGate gate(this, held);
+  return throttle_->Gate(&gate, bytes, stalled_out);
 }
 
 std::string LsmDbChassis::GetProperty(const Slice& property) {
@@ -373,6 +493,9 @@ std::string LsmDbChassis::GetProperty(const Slice& property) {
     return engine_.versions()->LevelSummary();
   }
   if (property == Slice("clsm.mem-usage")) {
+    // Pinned like WaitForMaintenance's probe: a roll and a flush may retire
+    // this memtable while the admin server reads it.
+    EpochGuard guard(*engine_.epochs());
     MemTable* mem = mem_.load(std::memory_order_acquire);
     return std::to_string(mem != nullptr ? mem->ApproximateMemoryUsage() : 0);
   }

@@ -5,8 +5,9 @@
 //  * open-time recovery (engine open, fresh WAL, flush of the recovered
 //    memtable or commit of the log rotation, obsolete-file sweep) and
 //    teardown;
-//  * the component state — Pm, P'm, their WALs — the memtable roll's
-//    fresh-log half and the flush of P'm to level 0;
+//  * the component state — Pm, P'm, their WALs — and the maintenance
+//    that moves it: one roll/flush thread (the memtable roll, the flush of
+//    P'm to level 0) and the engine's compaction worker pool;
 //  * the mem -> imm -> disk read search and the iterator assembly;
 //  * per-op attribution: the op prologue (door check, PerfContext start,
 //    entry tick) and the FinishOp epilogue;
@@ -14,16 +15,17 @@
 //    the GetProperty keys, the stats exporters' source, the periodic
 //    reporter, the admin server and the serving tier's RpcAttachment.
 //
-// A variant supplies its write, read, snapshot and RMW paths and four
+// A variant supplies its write, read, snapshot and RMW paths and three
 // hooks, none on an op path: RestoreSequence and CurrentSequence (its
-// timestamp source, which also bounds snapshot GC), ClearImmutable (P'm
-// cleared under its own lock) and StartMaintenance (its maintenance
-// thread, plus cLSM's compaction scheduler).
+// timestamp source, which also bounds snapshot GC) and RunExclusive (its
+// exclusive section, in which the roll swaps Pm into P'm and afterMerge
+// clears P'm).
 #ifndef CLSM_CORE_LSM_DB_CHASSIS_H_
 #define CLSM_CORE_LSM_DB_CHASSIS_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,16 +64,14 @@ class LsmDbChassis : public DB {
     return true;
   }
   void ResetStats() override;
+  void WaitForMaintenance() override;
   std::shared_ptr<SlowOpRingListener> AttachRpcObservability(
       std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace) override {
     return rpc_.Attach(std::move(stats), std::move(trace));
   }
 
  protected:
-  // leveldb_gate selects the throttle's LevelDB semantics: fail writers on
-  // any latched background error, and let the L0 hard stop block only the
-  // roll (LevelDB rolls from the write path). cLSM passes false.
-  LsmDbChassis(const Options& options, const std::string& dbname, bool leveldb_gate);
+  LsmDbChassis(const Options& options, const std::string& dbname);
 
   // --- variant hooks ---
   // Continue the variant's timestamp source after `last`, the largest
@@ -80,15 +80,14 @@ class LsmDbChassis : public DB {
   // The variant's current timestamp: persisted with every flush, the
   // snapshot-GC bound when no snapshot is installed, and clsm.last-ts.
   virtual SequenceNumber CurrentSequence() = 0;
-  // afterMerge: clear P'm (imm_ and imm_exists_) under the variant's
-  // exclusive lock.
-  virtual void ClearImmutable() = 0;
-  // Start the maintenance thread (and any compaction workers).
-  virtual void StartMaintenance() = 0;
+  // Runs `section` with no write, snapshot acquisition or locked read of
+  // the variant in flight: the memtable roll's pointer swap (beforeMerge)
+  // and afterMerge's clear of P'm run here, on the maintenance thread.
+  virtual void RunExclusive(const std::function<void()>& section) = 0;
 
   // Stops the admin server, the reporter, the maintenance thread and the
-  // compaction workers. Idempotent. Each variant's destructor calls it
-  // first: all of them run variant code.
+  // compaction workers. Idempotent. The most-derived destructor calls it
+  // first: all of them call variant hooks.
   void StopBackgroundWork();
 
   // --- op prologue and epilogue ---
@@ -148,43 +147,16 @@ class LsmDbChassis : public DB {
   Iterator* NewIteratorAt(const ReadOptions& options, MemTable* mem, MemTable* imm,
                           SequenceNumber seq);
 
-  // --- maintenance ---
-  // The memtable roll's preparation (beforeMerge), done outside any lock:
-  // the fresh memtable and its WAL (just a file number with the WAL off).
-  // Returns false, with kMemtableRoll latched, when the WAL cannot open.
-  struct Roll {
-    MemTable* mem = nullptr;
-    std::unique_ptr<AsyncLogger> logger;
-    uint64_t log_number = 0;
-  };
-  bool PrepareRoll(Roll* roll);
-  // The roll's pointer swap, Pm -> P'm, under the variant's exclusive
-  // lock. Returns the retired memtable's size for NotifyMemtableRoll,
-  // which the caller sends after unlocking.
-  size_t InstallRoll(Roll* roll);
-  // merge + afterMerge: closes P'm's WAL (a failed final sync aborts the
-  // flush before the log could be retired), writes P'm to level 0, clears
-  // it (ClearImmutable) and retires it once no reader holds it.
-  void FlushImmutable();
-  SequenceNumber SmallestLiveSnapshot() { return snapshots_.OldestTimestamp(CurrentSequence()); }
+  // --- admission ---
+  // The write gate (WriteThrottle::Gate) for one write of `bytes` payload.
+  // A writer that holds its variant's mutex passes it as `held`; the gate
+  // releases it while the writer waits or sleeps.
+  Status Throttle(uint64_t bytes, bool* stalled_out,
+                  std::unique_lock<std::mutex>* held = nullptr);
   bool MemFull() const {
     MemTable* m = mem_.load(std::memory_order_acquire);
     return m != nullptr && m->ApproximateMemoryUsage() >= engine_.options().write_buffer_size;
   }
-
-  // WriteThrottle client over the component state; each variant adds how
-  // its writers wait.
-  class ComponentGate : public WriteThrottle::Client {
-   public:
-    explicit ComponentGate(LsmDbChassis* db) : db_(db) {}
-    bool MemFull() override { return db_->MemFull(); }
-    double MemFillFraction() override;
-    bool ImmExists() override { return db_->imm_exists_.load(std::memory_order_acquire); }
-    void KickMaintenance() override { db_->maintenance_cv_.notify_one(); }
-
-   private:
-    LsmDbChassis* const db_;
-  };
 
   const std::string dbname_;
   // Admin-server internal listeners (slow-op ring for GET /slowops, trace
@@ -235,10 +207,28 @@ class LsmDbChassis : public DB {
   SlowOpRateLimiter slow_op_limiter_;
 
  private:
+  class ComponentGate;
+
   Status Init();
   // Pm's WAL for a roll or the open: a fresh log, or only a file number
-  // with the WAL disabled. False (with *s set) when the log cannot open.
-  bool PrepareLog(Roll* roll, Status* s);
+  // with the WAL disabled (*logger stays null).
+  Status PrepareLog(std::unique_ptr<AsyncLogger>* logger, uint64_t* log_number);
+
+  // The maintenance thread: rolls memtables (beforeMerge) and flushes them
+  // (merge + afterMerge). Compactions run on the engine's worker pool
+  // (Options::compaction_threads workers picking disjoint jobs), so rolls
+  // and flushes never queue behind long merges — §5.3's reserved flush
+  // thread, for every variant.
+  void MaintenanceLoop();
+  // beforeMerge: the fresh memtable and its WAL are prepared outside the
+  // exclusive section, which then only swaps the pointers, Pm -> P'm.
+  // Latches kMemtableRoll and leaves Pm in place when the WAL cannot open.
+  void RollMemTable();
+  // merge + afterMerge: closes P'm's WAL (a failed final sync aborts the
+  // flush before the log could be retired), writes P'm to level 0, clears
+  // it in the exclusive section and retires it once no reader holds it.
+  void FlushImmutable();
+  SequenceNumber SmallestLiveSnapshot() { return snapshots_.OldestTimestamp(CurrentSequence()); }
 
   // The one place that knows which observability state feeds the stats
   // exporters; both the clsm.stats.json property and /metrics render

@@ -7,10 +7,8 @@
 //
 // Thread contract: Get/AddVersionIterators are safe from any thread and
 // never block (epoch-protected version access). FlushMemTable/LogAndApply
-// must be called from a single flush/maintenance thread. Compactions run
-// either synchronously through CompactOnce (single maintenance thread) or
-// on the engine's own worker pool (StartCompactionScheduler) — the two
-// modes must not be mixed.
+// must be called from a single flush/maintenance thread. Compactions run on
+// the engine's own worker pool (StartCompactionScheduler).
 #ifndef CLSM_LSM_STORAGE_ENGINE_H_
 #define CLSM_LSM_STORAGE_ENGINE_H_
 
@@ -85,10 +83,11 @@ class StorageEngine {
   // RemoveObsoleteFiles never strands CURRENT pointing at a GC'd manifest.
   Status CommitLogRotation(uint64_t log_number);
 
-  // Runs at most one compaction step. did_work reports whether anything ran.
-  // smallest_snapshot: versions at or below this sequence that are shadowed
-  // by newer ones can be discarded (paper §3.2.1's obsolete-version GC).
-  // Single-maintenance-thread mode only (do not mix with the scheduler).
+  // Runs at most one compaction step on the calling thread, for callers
+  // without the worker pool (engine tests). did_work reports whether
+  // anything ran. smallest_snapshot: versions at or below this sequence
+  // that are shadowed by newer ones can be discarded (paper §3.2.1's
+  // obsolete-version GC).
   Status CompactOnce(SequenceNumber smallest_snapshot, bool* did_work);
 
   // --- Parallel compaction scheduler (paper §5.3's multi-threaded

@@ -1,8 +1,8 @@
 // Feedback-driven write admission control: the gradual-backpressure
-// replacement for the fixed L0 slowdown/stop cliffs.
+// replacement for LevelDB's fixed L0 slowdown/stop cliffs.
 //
-// The classic LevelDB policy — sleep 1ms past l0_slowdown_trigger, block
-// outright past l0_stop_trigger — turns write latency into a step function:
+// The classic LevelDB policy — sleep 1ms past a slowdown trigger, block
+// outright past a stop trigger — turns write latency into a step function:
 // nothing, then a cliff. Following the stability analysis of Luo & Carey
 // (and bLSM's spring-and-gear scheduler), WriteController instead meters
 // writers through a token bucket whose refill rate is recomputed every
@@ -12,13 +12,12 @@
 // max_rate toward min_rate, so per-writer delay ramps instead of cliffing;
 // a hard stop survives only as a safety valve at l0_safety_cap.
 //
-// WriteThrottle is the shared admission gate built on top: both the cLSM
-// write path (ClsmDb::ThrottleIfNeeded) and the baseline chassis
-// (BaselineDbBase::MakeRoomForWrite) funnel through WriteThrottle::Gate,
-// which owns the stall bracketing (OnStallBegin/End), the stall counters
-// and the per-op PerfContext attribution. Chassis-specific behavior (how
-// to wait, how to roll a memtable, how to sleep while holding or not
-// holding a lock) is supplied through WriteThrottle::Client.
+// WriteThrottle is the admission gate built on top, the same for cLSM and
+// every baseline: each write funnels through WriteThrottle::Gate, which
+// owns the hard-stall rule, the stall bracketing (OnStallBegin/End), the
+// stall counters and the per-op PerfContext attribution. How a writer
+// observes the memory components and how it waits (with or without a
+// held lock) is supplied through WriteThrottle::Client.
 #ifndef CLSM_LSM_WRITE_CONTROLLER_H_
 #define CLSM_LSM_WRITE_CONTROLLER_H_
 
@@ -208,17 +207,16 @@ class WriteController {
 // components and how to wait.
 class WriteThrottle {
  public:
-  // Chassis adapter. Implementations are small stack objects constructed
-  // per Gate() call (they may capture a held lock).
+  // Chassis adapter: a small stack object constructed per Gate() call (it
+  // may capture the writer's held lock).
   class Client {
    public:
     virtual ~Client() = default;
     virtual bool MemFull() = 0;
     virtual bool ImmExists() = 0;
-    // Active-memtable fill fraction in [0, 1] (see DebtInputs). The default
-    // keeps chassis that cannot observe it on the flat immutable weight.
-    virtual double MemFillFraction() { return 0.0; }
-    virtual bool ShuttingDown() { return false; }
+    // Active-memtable fill fraction in [0, 1] (see DebtInputs).
+    virtual double MemFillFraction() = 0;
+    virtual bool ShuttingDown() = 0;
     // Wake the maintenance/flush machinery without blocking.
     virtual void KickMaintenance() = 0;
     // Block briefly (~1ms) until maintenance may have made progress. Called
@@ -227,23 +225,9 @@ class WriteThrottle {
     // Sleep for ~nanos (releasing any held lock) and return the nanoseconds
     // actually slept.
     virtual uint64_t DelaySleep(uint64_t nanos) = 0;
-    // The legacy bounded slowdown sleep (~1ms; bLSM's variant scales it
-    // with L0 pressure). Returns nanoseconds actually slept.
-    virtual uint64_t LegacySlowdownSleep() = 0;
-    // Roll the memtable inline if this chassis does so from the write path
-    // (LevelDB-style, under its mutex). Returns true if it rolled (the gate
-    // re-checks state); false if rolling is the maintenance thread's job.
-    virtual bool TryMakeRoom() { return false; }
   };
 
-  // fail_on_any_bg_error: fail writers on any latched background error at
-  // the top of the wait loop (LevelDB semantics) instead of only once they
-  // are actually stalled behind the broken pipeline (cLSM semantics).
-  // stop_only_when_mem_full: engage the L0 hard stop only when the
-  // memtable is also full (LevelDB rolls from the write path, so L0
-  // pressure only blocks the roll); cLSM stops on L0 alone.
-  WriteThrottle(StorageEngine* engine, DbStats* stats, bool fail_on_any_bg_error,
-                bool stop_only_when_mem_full);
+  WriteThrottle(StorageEngine* engine, DbStats* stats);
 
   WriteThrottle(const WriteThrottle&) = delete;
   WriteThrottle& operator=(const WriteThrottle&) = delete;
@@ -251,9 +235,13 @@ class WriteThrottle {
   // Latency registry for the kRollWait series (null disables recording).
   void SetRegistry(StatsRegistry* registry) { registry_ = registry; }
 
-  // Admit one write of `bytes` payload, blocking/delaying per the active
-  // policy. Sets *stalled_out (when non-null) if the call waited at all.
-  // Returns the latched background error when the pipeline cannot drain.
+  // Admit one write of `bytes` payload. The writer hard-stalls while the
+  // memtable is full and the previous one is still flushing, or while
+  // level 0 is at the safety cap; otherwise it pays at most one token-
+  // bucket delay. A full memtable with no flush pending only kicks the
+  // maintenance thread, which rolls it. Sets *stalled_out (when non-null)
+  // if the call waited at all. Returns the latched background error once a
+  // stalled writer finds that the pipeline cannot drain.
   Status Gate(Client* client, uint64_t bytes, bool* stalled_out);
 
   // Cheap pre-check for lock-avoiding fast paths (HyperLevelDB's probe):
@@ -261,8 +249,7 @@ class WriteThrottle {
   // should take its write lock and run the full gate.
   bool GateLikelyNeeded() const;
 
-  WriteRateLimitMode mode() const { return mode_; }
-  int hard_stop_files() const { return hard_stop_files_; }
+  int hard_stop_files() const { return controller_.config().l0_safety_cap; }
   WriteController* controller() { return &controller_; }
   const WriteController* controller() const { return &controller_; }
 
@@ -274,11 +261,6 @@ class WriteThrottle {
   StorageEngine* const engine_;
   DbStats* const stats_;
   StatsRegistry* registry_ = nullptr;
-  const WriteRateLimitMode mode_;
-  const int l0_slowdown_files_;  // legacy-mode bounded-delay trigger
-  const int hard_stop_files_;    // legacy: stop trigger; controller: safety cap
-  const bool fail_on_any_bg_error_;
-  const bool stop_only_when_mem_full_;
   WriteController controller_;
 };
 

@@ -73,8 +73,8 @@ struct CompactionJobInfo {
 
 enum class StallReason : int {
   kMemtableFull = 0,  // Cm full while C'm is still merging
-  kL0Stop,            // level 0 past the stop trigger / safety cap
-  kL0Slowdown,        // bounded slowdown delay (legacy admission mode)
+  kL0Stop,            // level 0 at the safety cap
+  kL0Slowdown,        // never raised (LevelDB's bounded slowdown); keeps positions
   kRateLimited,       // write-controller token-bucket delay
 };
 const char* StallReasonName(StallReason r);

@@ -98,9 +98,9 @@ class StatsVisitor {
 // {
 //   "db": "clsm",
 //   "counters": { "puts_total": N, ... },            // every DbStats field
-//   "stall": {"slowdown_waits":N,"slowdown_micros":N,"stall_micros":N,
-//             "rate_limit_waits":N,"rate_limit_delay_micros":N},
-//   "write_controller": {"mode":"controller"|"legacy","rate_bytes_per_sec":N,
+//   "stall": {"stall_micros":N,"rate_limit_waits":N,
+//             "rate_limit_delay_micros":N},
+//   "write_controller": {"rate_bytes_per_sec":N,
 //                        "effective_max_bytes_per_sec":N,
 //                        "drain_rate_bytes_per_sec":N,
 //                        "debt":D,"tokens":N,"delayed_writers":N,

@@ -6,10 +6,12 @@
 // workers, the WAL logger and stalled writers concurrently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +164,23 @@ TEST_P(EventListenerTest, FlushAndCompactionHooksPairAndOrder) {
   EXPECT_GE(compact_begins, 1u);  // 64KB L0 files past the trigger
   // Rolls feed flushes: the flush pipeline can't outrun the roll count.
   EXPECT_GE(rolls, flush_begins);
+
+  // One maintenance design for every variant: the roll/flush thread rolls
+  // every memtable (writers never roll inline), and compactions run on the
+  // engine's worker pool, never on the flush thread.
+  std::set<std::thread::id> flush_threads;
+  for (const auto& e : events) {
+    if (e.kind == "flush_begin") {
+      flush_threads.insert(e.tid);
+    }
+  }
+  for (const auto& e : events) {
+    if (e.kind == "compact_begin") {
+      EXPECT_EQ(0u, flush_threads.count(e.tid)) << "compaction ran on the flush thread";
+    } else if (e.kind == "roll") {
+      EXPECT_EQ(1u, flush_threads.count(e.tid)) << "memtable rolled off the flush thread";
+    }
+  }
 }
 
 TEST_P(EventListenerTest, StallEventsBracketOnWriterThread) {
@@ -169,8 +188,7 @@ TEST_P(EventListenerTest, StallEventsBracketOnWriterThread) {
   // Aggressive backpressure: stall quickly and often.
   options.write_buffer_size = 32 * 1024;
   options.target_file_size = 32 * 1024;
-  options.l0_slowdown_trigger = 2;
-  options.l0_stop_trigger = 4;
+  options.l0_safety_cap = 8;
   std::unique_ptr<DB> db = OpenFresh(options);
 
   constexpr int kThreads = 4;
@@ -229,10 +247,11 @@ TEST_P(EventListenerTest, WalSyncHookFires) {
   EXPECT_GE(listener_->Count("wal_sync"), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, EventListenerTest,
-                         ::testing::Values(DbVariant::kClsm, DbVariant::kLevelDb),
+INSTANTIATE_TEST_SUITE_P(Variants, EventListenerTest, ::testing::ValuesIn(AllVariants()),
                          [](const ::testing::TestParamInfo<DbVariant>& info) {
-                           return std::string(VariantName(info.param));
+                           std::string name = VariantName(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 // ---------------------------------------------------------------------------

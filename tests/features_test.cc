@@ -142,7 +142,6 @@ TEST(LinearizableSnapshotTest, ReadYourOwnWritesThroughSnapshot) {
 TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
   ScratchDir dir("flushthread");
   Options options;
-  options.dedicated_flush_thread = true;
   options.write_buffer_size = 128 * 1024;
   options.target_file_size = 128 * 1024;
   auto db = OpenClsm(dir.path() + "/db", options);
@@ -150,7 +149,7 @@ TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
   WriteOptions wo;
   ReadOptions ro;
   // Heavy write churn: rolls/flushes on the flush thread race compactions
-  // on the maintenance thread.
+  // on the worker pool.
   for (int i = 0; i < 30000; i++) {
     ASSERT_TRUE(db->Put(wo, "key" + std::to_string(i % 5000), std::string(64, 'a' + i % 26)).ok());
   }
@@ -170,7 +169,6 @@ TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
 TEST(DedicatedFlushThreadTest, ConcurrentReadersAndWriters) {
   ScratchDir dir("flushthread2");
   Options options;
-  options.dedicated_flush_thread = true;
   options.write_buffer_size = 128 * 1024;
   auto db = OpenClsm(dir.path() + "/db", options);
 

@@ -1,7 +1,7 @@
 // Configuration-space sweep: the same black-box workload must pass under
 // every meaningful combination of tuning knobs — tiny blocks, restart
 // interval 1, no Bloom filters, no block cache, synchronous logging, WAL
-// disabled, dedicated flush thread, linearizable snapshots. Catches
+// disabled, linearizable snapshots. Catches
 // configuration-dependent bugs that default-options tests never see.
 #include <gtest/gtest.h>
 
@@ -45,11 +45,6 @@ std::vector<SweepCase> SweepCases() {
   {
     SweepCase c{"no_wal", Options()};
     c.options.disable_wal = true;
-    cases.push_back(c);
-  }
-  {
-    SweepCase c{"dedicated_flush", Options()};
-    c.options.dedicated_flush_thread = true;
     cases.push_back(c);
   }
   {

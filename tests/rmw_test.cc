@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/baselines/factory.h"
 #include "tests/test_util.h"
@@ -213,6 +215,43 @@ TEST_P(RmwTest, RmwVsPutAtomicity) {
   // Value is either a put value or an rmw-wrapped put value (nesting of
   // rmw over rmw is possible but every layer wraps a committed state).
   EXPECT_TRUE(v[0] == 'p' || v.substr(0, 4) == "rmw(") << v;
+}
+
+// Acked puts stay readable while RMWs run. The baselines' coarse RMW runs
+// under the global mutex while a queue head applies its group outside it;
+// an RMW interleaved with that apply used to reuse the group's sequence
+// numbers and publish a smaller last sequence, hiding acked writes from
+// reads that followed them.
+TEST_P(RmwTest, AckedPutsStayVisibleUnderConcurrentRmw) {
+  std::atomic<bool> writers_done{false};
+  std::atomic<int> misses{0};
+  std::thread rmw([&] {
+    while (!writers_done.load()) {
+      db_->ReadModifyWrite(WriteOptions(), "counter",
+                           [](const std::optional<Slice>& cur) -> std::optional<std::string> {
+                             return std::string(cur.has_value() ? cur->size() % 7 + 1 : 1, 'x');
+                           });
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; t++) {
+    writers.emplace_back([&, t] {
+      std::string v;
+      for (int i = 0; i < 4000; i++) {
+        const std::string key = "w" + std::to_string(t) + "-" + std::to_string(i);
+        ASSERT_TRUE(db_->Put(WriteOptions(), key, "v").ok());
+        if (!db_->Get(ReadOptions(), key, &v).ok()) {
+          misses++;
+        }
+      }
+    });
+  }
+  for (auto& w : writers) {
+    w.join();
+  }
+  writers_done = true;
+  rmw.join();
+  EXPECT_EQ(0, misses.load());
 }
 
 INSTANTIATE_TEST_SUITE_P(ClsmAndStriped, RmwTest,

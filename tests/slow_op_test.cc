@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -58,6 +59,22 @@ TEST(SlowOpRateLimiterTest, FixedWindowBound) {
   EXPECT_EQ(limiter.suppressed(), 3u);
 }
 
+// FinishOp stamps each admitted record with suppressed() read right after
+// Admit: a record admitted after suppression carries the cumulative count.
+TEST(SlowOpRateLimiterTest, AdmittedRecordCarriesCumulativeSuppressedCount) {
+  SlowOpRateLimiter limiter(1);
+  const uint64_t t = 7'000'000;
+  EXPECT_TRUE(limiter.Admit(t));
+  EXPECT_EQ(limiter.suppressed(), 0u);  // the first record carries 0
+  EXPECT_FALSE(limiter.Admit(t + 10));
+  EXPECT_FALSE(limiter.Admit(t + 20));
+  EXPECT_TRUE(limiter.Admit(t + 1'000'000));
+  EXPECT_EQ(limiter.suppressed(), 2u);  // both drops precede this record
+  EXPECT_FALSE(limiter.Admit(t + 1'000'001));
+  EXPECT_TRUE(limiter.Admit(t + 3'000'000));  // a skipped window changes nothing
+  EXPECT_EQ(limiter.suppressed(), 3u);
+}
+
 TEST(SlowOpRateLimiterTest, ZeroMeansSuppressEverything) {
   SlowOpRateLimiter limiter(0);
   EXPECT_FALSE(limiter.Admit(1));
@@ -70,6 +87,15 @@ TEST(SlowOpKeyHashTest, PrefixOnlyAndStable) {
   EXPECT_EQ(h, SlowOpKeyPrefixHash(Slice("abcdefgh-long-suffix-differs")));
   EXPECT_NE(h, SlowOpKeyPrefixHash(Slice("abcdefgX")));
   EXPECT_NE(SlowOpKeyPrefixHash(Slice("")), 0u);  // FNV offset basis
+}
+
+// The unsigned integer following `"name":` in a JSON snapshot (0 if absent).
+uint64_t ExtractCounter(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const size_t pos = json.find(needle);
+  return pos == std::string::npos
+             ? 0
+             : std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
 }
 
 class SlowOpDbTest : public ::testing::TestWithParam<DbVariant> {
@@ -184,12 +210,18 @@ TEST_P(SlowOpDbTest, RateBoundSuppressesButCounts) {
   char expect_reported[64];
   snprintf(expect_reported, sizeof(expect_reported), "\"slow_ops_reported\":%zu", reported);
   EXPECT_NE(stats.find(expect_reported), std::string::npos) << stats;
-  // A record admitted after the bound engaged carries the cumulative
-  // suppressed count (only observable when a second window opened).
+  // Suppression is cumulative and matches the counters. Which records are
+  // admitted depends on where the one-second windows fall, so only checks
+  // that hold for every placement are made here; the per-record count is
+  // pinned down in SlowOpRateLimiterTest with explicit timestamps.
+  const uint64_t dropped = ExtractCounter(stats, "slow_ops_dropped");
+  EXPECT_EQ(reported + dropped, static_cast<uint64_t>(kSlowPuts)) << stats;
   std::vector<SlowOpInfo> records = collector->Snapshot();
-  if (records.size() >= 2) {
-    EXPECT_GT(records.back().suppressed, 0u);
+  ASSERT_EQ(records.size(), reported);
+  for (size_t i = 1; i < records.size(); i++) {
+    EXPECT_GE(records[i].suppressed, records[i - 1].suppressed) << i;
   }
+  EXPECT_LE(records.back().suppressed, dropped);
 }
 
 TEST_P(SlowOpDbTest, ThresholdZeroDisablesDispatch) {

@@ -142,11 +142,12 @@ TEST_F(WalSyncFlushTest, BaselineSyncFailureAtFlushLatchesBeforeLogRemoval) {
 
 // HyperLevelDB's puts bypass the writer queue on a lock-free fast path,
 // which must still fail at the door once the error is latched (step 2).
-// The legacy admission policy keeps the gate off that path while level 0
-// is small, and the larger memtable is still far from full when the
-// churn sees the latch, so only the door check can reject the write.
+// A frozen controller clock keeps the gate off that path (the controller
+// stays unthrottled and never comes due for a refresh), and the larger
+// memtable is still far from full when the churn sees the latch, so only
+// the door check can reject the write.
 TEST_F(WalSyncFlushTest, HyperLevelDbSyncFailureAtFlushLatchesBeforeLogRemoval) {
-  options_.write_rate_limit_mode = WriteRateLimitMode::kLegacy;
+  options_.write_controller_clock = [] { return uint64_t{0}; };
   options_.write_buffer_size = 1 << 20;
   RunScenario(DbVariant::kHyperLevelDb, "hyperleveldb");
 }

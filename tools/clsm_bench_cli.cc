@@ -2,9 +2,11 @@
 // operation mix against any DB variant with any thread count — the manual
 // companion to the per-figure binaries in bench/.
 //
-//   clsm_bench --db=/tmp/x --variant=clsm --threads=8 --duration_ms=5000 \
-//              --writes=0.5 --scans=0.05 --rmws=0.05 --dist=hotblock \
+//   clsm_bench --db=/tmp/x --variant=clsm --threads=8 --duration_ms=5000
+//              --writes=0.5 --scans=0.05 --rmws=0.05 --dist=hotblock
 //              --keys=1000000 --value_size=256 --preload=500000
+//
+// (one command line, wrapped here for width)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
