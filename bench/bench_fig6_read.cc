@@ -26,7 +26,7 @@ int main() {
   spec.hot_op_fraction = 0.90;
   spec.num_keys = config.preload_keys;  // read existing keys only
 
-  std::vector<DbVariant> systems = {DbVariant::kRocksDb, DbVariant::kBlsm, DbVariant::kLevelDb,
+  std::vector<DbVariant> systems = {DbVariant::kRocksDb, DbVariant::kLevelDb,
                                     DbVariant::kHyperLevelDb, DbVariant::kClsm};
 
   ResultTable table("reads/sec", config.thread_counts);

@@ -36,7 +36,7 @@ int main() {
   mixed.distribution = KeyDist::kHotBlock;
 
   std::vector<Mix> mixes = {{"100% write", writes}, {"100% read", reads}, {"50/50 mix", mixed}};
-  std::vector<DbVariant> systems = {DbVariant::kRocksDb, DbVariant::kBlsm, DbVariant::kLevelDb,
+  std::vector<DbVariant> systems = {DbVariant::kRocksDb, DbVariant::kLevelDb,
                                     DbVariant::kHyperLevelDb, DbVariant::kClsm};
 
   Options options = FigureOptions(config);

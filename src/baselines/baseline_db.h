@@ -1,5 +1,8 @@
 // The competitor concurrency architectures the paper evaluates against
-// (§5): LevelDB, HyperLevelDB, RocksDB and bLSM. Every variant runs on the
+// (§5): LevelDB, HyperLevelDB and RocksDB. bLSM needs no variant of its
+// own: its in-memory concurrency control is LevelDB's, and its merge
+// scheduling is the write controller every variant shares
+// (src/lsm/write_controller.h). Every variant runs on the
 // same LsmDbChassis as cLSM (src/core/lsm_db_chassis.h) — disk component,
 // recovery, flushing, observability — so benchmark differences isolate
 // the in-memory synchronization design, the paper's variable under test.

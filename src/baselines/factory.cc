@@ -16,8 +16,6 @@ const char* VariantName(DbVariant variant) {
       return "hyperleveldb";
     case DbVariant::kRocksDb:
       return "rocksdb";
-    case DbVariant::kBlsm:
-      return "blsm";
     case DbVariant::kStripedRmw:
       return "striped-rmw";
   }
@@ -35,8 +33,8 @@ bool ParseVariant(const std::string& name, DbVariant* variant) {
 }
 
 std::vector<DbVariant> AllVariants() {
-  return {DbVariant::kRocksDb,      DbVariant::kBlsm, DbVariant::kLevelDb,
-          DbVariant::kHyperLevelDb, DbVariant::kClsm, DbVariant::kStripedRmw};
+  return {DbVariant::kRocksDb, DbVariant::kLevelDb, DbVariant::kHyperLevelDb, DbVariant::kClsm,
+          DbVariant::kStripedRmw};
 }
 
 Status OpenDb(DbVariant variant, const Options& options, const std::string& dbname, DB** dbptr) {
@@ -49,8 +47,6 @@ Status OpenDb(DbVariant variant, const Options& options, const std::string& dbna
       return OpenHyperStyleDb(options, dbname, dbptr);
     case DbVariant::kRocksDb:
       return OpenRocksStyleDb(options, dbname, dbptr);
-    case DbVariant::kBlsm:
-      return OpenBlsmStyleDb(options, dbname, dbptr);
     case DbVariant::kStripedRmw:
       return OpenStripedRmwDb(options, dbname, dbptr);
   }

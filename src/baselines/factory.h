@@ -15,7 +15,6 @@ enum class DbVariant {
   kLevelDb,       // single-writer, global mutex
   kHyperLevelDb,  // fine-grained write locking
   kRocksDb,       // single-writer, lock-free reads
-  kBlsm,          // LevelDB's concurrency control, named for the figures
   kStripedRmw,    // LevelDB + lock-striping RMW baseline
 };
 

@@ -21,10 +21,6 @@ Status OpenHyperStyleDb(const Options& options, const std::string& dbname, DB** 
 // thread-locally cached metadata. Reads scale; writes do not.
 Status OpenRocksStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
 
-// bLSM: LevelDB's single-writer concurrency control; its bounded merge
-// stalls are the write controller every variant shares.
-Status OpenBlsmStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
-
 // LevelDB + textbook lock-striping RMW (the Fig 9 baseline): every write
 // and read-modify-write holds an exclusive per-key-stripe lock.
 Status OpenStripedRmwDb(const Options& options, const std::string& dbname, DB** dbptr);

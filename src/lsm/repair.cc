@@ -111,7 +111,7 @@ class Repairer {
       }
     };
     IgnoreReporter reporter;
-    log::Reader reader(file.get(), &reporter, false /*tolerate bad checksums*/, 0);
+    log::Reader reader(file.get(), &reporter, false /*tolerate bad checksums*/);
 
     MemTable* mem = new MemTable(icmp_);
     Slice record;

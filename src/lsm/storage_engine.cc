@@ -269,7 +269,7 @@ Status StorageEngine::RecoverLogFile(uint64_t log_number, MemTable* mem, Sequenc
   Status corruption_status;
   LogReporter reporter;
   reporter.status = &corruption_status;
-  log::Reader reader(file.get(), &reporter, true /*checksum*/, 0);
+  log::Reader reader(file.get(), &reporter, true /*checksum*/);
 
   // The asynchronous logger writes records out of order; collect them all,
   // sort by timestamp, and replay (paper §4: "the correct order is easily
@@ -437,16 +437,6 @@ Status StorageEngine::CommitLogRotation(uint64_t log_number) {
   return s;
 }
 
-Status StorageEngine::CompactOnce(SequenceNumber smallest_snapshot, bool* did_work) {
-  *did_work = false;
-  std::unique_ptr<Compaction> c(versions_->PickCompaction());
-  if (c == nullptr) {
-    return Status::OK();
-  }
-  *did_work = true;
-  return RunCompaction(c.get(), smallest_snapshot);
-}
-
 Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snapshot) {
   CompactionStats::LevelStats& stats = compaction_stats_.level(c->level());
   const uint64_t t0 = MonotonicNanos();
@@ -537,6 +527,22 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
   for (; input->Valid() && s.ok(); input->Next()) {
     Slice key = input->key();
 
+    // Only a corrupt input table yields a malformed key or breaks
+    // internal-key order (user keys ascending, versions of one user key
+    // newest first). Merging it would write the damage into a new table
+    // whose keys are out of order, so the job fails instead.
+    ParsedInternalKey ikey;
+    if (!ParseInternalKey(key, &ikey)) {
+      s = Status::Corruption("compaction input has a malformed key");
+      break;
+    }
+    const int order =
+        has_current_user_key ? ucmp->Compare(ikey.user_key, Slice(current_user_key)) : 1;
+    if (order < 0 || (order == 0 && ikey.sequence > last_sequence_for_key)) {
+      s = Status::Corruption("compaction input out of order", ikey.user_key);
+      break;
+    }
+
     // Cut the current output when its accumulated overlap with grandparent
     // (output_level+1) files passes the configured bound, so no single
     // output file manufactures an oversized future compaction one level
@@ -548,36 +554,27 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
       }
     }
 
-    bool drop = false;
-    ParsedInternalKey ikey;
-    if (!ParseInternalKey(key, &ikey)) {
-      // Do not hide corruption: pass it through.
-      current_user_key.clear();
-      has_current_user_key = false;
+    if (order > 0) {
+      // First occurrence (newest version) of this user key.
+      current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
+      has_current_user_key = true;
       last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      if (!has_current_user_key || ucmp->Compare(ikey.user_key, Slice(current_user_key)) != 0) {
-        // First occurrence (newest version) of this user key.
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-
-      if (last_sequence_for_key <= smallest_snapshot) {
-        // Hidden by a newer entry that is itself visible at or below the
-        // oldest snapshot — no snapshot can observe this version (§3.2.1:
-        // for every key and snapshot, keep only the latest version not
-        // exceeding the snapshot's timestamp).
-        drop = true;
-      } else if (ikey.type == kTypeDeletion && ikey.sequence <= smallest_snapshot &&
-                 c->can_drop_tombstones() && c->IsBaseLevelForKey(ikey.user_key)) {
-        // The deletion marker is invisible to all snapshots and there is no
-        // older version underneath it to resurrect: drop the marker itself.
-        drop = true;
-      }
-
-      last_sequence_for_key = ikey.sequence;
     }
+
+    bool drop = false;
+    if (last_sequence_for_key <= smallest_snapshot) {
+      // Hidden by a newer entry that is itself visible at or below the
+      // oldest snapshot — no snapshot can observe this version (§3.2.1:
+      // for every key and snapshot, keep only the latest version not
+      // exceeding the snapshot's timestamp).
+      drop = true;
+    } else if (ikey.type == kTypeDeletion && ikey.sequence <= smallest_snapshot &&
+               c->can_drop_tombstones() && c->IsBaseLevelForKey(ikey.user_key)) {
+      // The deletion marker is invisible to all snapshots and there is no
+      // older version underneath it to resurrect: drop the marker itself.
+      drop = true;
+    }
+    last_sequence_for_key = ikey.sequence;
 
     if (!drop) {
       // Open output file if necessary.

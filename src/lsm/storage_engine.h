@@ -83,21 +83,16 @@ class StorageEngine {
   // RemoveObsoleteFiles never strands CURRENT pointing at a GC'd manifest.
   Status CommitLogRotation(uint64_t log_number);
 
-  // Runs at most one compaction step on the calling thread, for callers
-  // without the worker pool (engine tests). did_work reports whether
-  // anything ran. smallest_snapshot: versions at or below this sequence
-  // that are shadowed by newer ones can be discarded (paper §3.2.1's
-  // obsolete-version GC).
-  Status CompactOnce(SequenceNumber smallest_snapshot, bool* did_work);
-
   // --- Parallel compaction scheduler (paper §5.3's multi-threaded
   // background compaction configuration) ---
 
   // Starts num_threads workers that repeatedly pick disjoint compactions
   // (VersionSet::PickCompaction excludes in-flight levels/files) and run
   // them concurrently; LogAndApply serializes the installs. smallest_snapshot
-  // is polled per job for the obsolete-version GC bound; on_error (may be
-  // null) latches background failures. Idempotent per engine lifetime.
+  // is polled per job for the obsolete-version GC bound: versions at or
+  // below it that are shadowed by newer ones are discarded (paper §3.2.1).
+  // on_error (may be null) latches background failures. Idempotent per
+  // engine lifetime.
   void StartCompactionScheduler(int num_threads,
                                 std::function<SequenceNumber()> smallest_snapshot,
                                 std::function<void(const Status&)> on_error);
@@ -176,7 +171,7 @@ class StorageEngine {
   Status RecoverLogFile(uint64_t log_number, MemTable* mem, SequenceNumber* max_seq);
   Status BuildTable(Iterator* iter, FileMetaData* meta);
   // Runs one already-picked compaction (trivial move or full merge) and
-  // records its per-level stats. Used by both CompactOnce and the workers.
+  // records its per-level stats.
   Status RunCompaction(Compaction* c, SequenceNumber smallest_snapshot);
   // fail_reason reports which stage failed (kCompaction for table I/O,
   // kManifestWrite for the edit install) when the result is not OK.

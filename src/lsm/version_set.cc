@@ -306,27 +306,6 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k, std::string*
 
 int64_t Version::NumBytes(int level) const { return TotalFileSize(files_[level]); }
 
-std::string Version::DebugString() const {
-  std::string r;
-  for (int level = 0; level < kNumLevels; level++) {
-    r.append("--- level ");
-    r.append(std::to_string(level));
-    r.append(" ---\n");
-    for (const auto& f : files_[level]) {
-      r.push_back(' ');
-      r.append(std::to_string(f->number));
-      r.push_back(':');
-      r.append(std::to_string(f->file_size));
-      r.append("[");
-      r.append(f->smallest.user_key().ToString());
-      r.append(" .. ");
-      r.append(f->largest.user_key().ToString());
-      r.append("]\n");
-    }
-  }
-  return r;
-}
-
 // Builder: accumulates edits on top of a base version.
 class VersionSet::Builder {
  public:
@@ -643,7 +622,7 @@ Status VersionSet::Recover() {
     };
     LogReporter reporter;
     reporter.status = &reader_status;
-    log::Reader reader(file.get(), &reporter, true /*checksum*/, 0 /*initial_offset*/);
+    log::Reader reader(file.get(), &reporter, true /*checksum*/);
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch) && s.ok()) {

@@ -72,8 +72,6 @@ class Version : public RefCounted {
   int NumFiles(int level) const { return static_cast<int>(files_[level].size()); }
   int64_t NumBytes(int level) const;
 
-  std::string DebugString() const;
-
  private:
   friend class VersionSet;
   friend class Compaction;

@@ -817,7 +817,7 @@ std::string PrometheusSanitizeName(const std::string& name) {
     }
   }
   if (out.empty()) {
-    out = "_";
+    out.push_back('_');
   }
   return out;
 }

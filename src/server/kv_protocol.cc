@@ -146,18 +146,6 @@ std::string EncodeKvResponse(const KvResponse& resp) {
   return out;
 }
 
-bool DecodeKvResponse(const Slice& payload, KvResponse* resp) {
-  // Responses are shaped by the request the caller just sent, so the
-  // client decodes them opcode-aware (KvClient); this generic decoder
-  // recovers status + raw remainder for tests and diagnostics.
-  *resp = KvResponse();
-  Cursor c(payload);
-  if (!c.GetU8(&resp->status)) return false;
-  if (resp->status > kKvBadRequest) return false;
-  resp->message.assign(c.p, static_cast<size_t>(c.limit - c.p));
-  return true;
-}
-
 Status ReadKvFrame(int fd, std::string* payload) {
   char header[4];
   size_t got = 0;

@@ -87,7 +87,6 @@ struct KvResponse {
 std::string EncodeKvRequest(const KvRequest& req);
 bool DecodeKvRequest(const Slice& payload, KvRequest* req);
 std::string EncodeKvResponse(const KvResponse& resp);
-bool DecodeKvResponse(const Slice& payload, KvResponse* resp);
 
 // Blocking frame I/O on a connected socket. ReadKvFrame returns IOError on
 // EOF mid-frame, socket error, or a length prefix above kKvMaxFrameBytes;

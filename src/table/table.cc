@@ -24,7 +24,6 @@ struct Table::Rep {
   FilterBlockReader* filter;
   const char* filter_data;
 
-  BlockHandle metaindex_handle;  // Handle to metaindex_block: saved from footer
   Block* index_block;
 };
 
@@ -68,7 +67,6 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   rep->filter_policy = filter_policy;
   rep->block_cache = block_cache;
   rep->file = file;
-  rep->metaindex_handle = footer.metaindex_handle();
   rep->index_block = new Block(index_block_contents);
   rep->cache_id = (block_cache != nullptr ? block_cache->NewId() : 0);
   rep->filter_data = nullptr;
@@ -228,32 +226,6 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
   }
   delete iiter;
   return s;
-}
-
-uint64_t Table::ApproximateOffsetOf(const Slice& key) const {
-  Iterator* index_iter = rep_->index_block->NewIterator(rep_->comparator);
-  index_iter->Seek(key);
-  uint64_t result;
-  if (index_iter->Valid()) {
-    BlockHandle handle;
-    Slice input = index_iter->value();
-    Status s = handle.DecodeFrom(&input);
-    if (s.ok()) {
-      result = handle.offset();
-    } else {
-      // Strange: we can't decode the block handle in the index block.
-      // We'll just return the offset of the metaindex block, which is
-      // close to the whole file size for this case.
-      result = rep_->metaindex_handle.offset();
-    }
-  } else {
-    // key is past the last key in the file.  Approximate the offset
-    // by returning the offset of the metaindex block (which is
-    // right near the end of the file).
-    result = rep_->metaindex_handle.offset();
-  }
-  delete index_iter;
-  return result;
 }
 
 namespace {

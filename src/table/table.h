@@ -39,9 +39,6 @@ class Table {
   Status InternalGet(const ReadOptions&, const Slice& key, void* arg,
                      void (*handle_result)(void* arg, const Slice& k, const Slice& v));
 
-  // Approximate file offset where the data for key begins (for sizing).
-  uint64_t ApproximateOffsetOf(const Slice& key) const;
-
  private:
   struct Rep;
 

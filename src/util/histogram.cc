@@ -1,8 +1,6 @@
 #include "src/util/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 namespace clsm {
 
@@ -29,7 +27,6 @@ void Histogram::Clear() {
   max_ = 0;
   num_ = 0;
   sum_ = 0;
-  sum_squares_ = 0;
   for (int i = 0; i < kNumBuckets; i++) {
     buckets_[i] = 0;
   }
@@ -50,7 +47,6 @@ void Histogram::Add(double value) {
   }
   num_++;
   sum_ += value;
-  sum_squares_ += (value * value);
 }
 
 int Histogram::BucketIndex(double value) {
@@ -87,7 +83,6 @@ void Histogram::Merge(const Histogram& other) {
   }
   num_ += other.num_;
   sum_ += other.sum_;
-  sum_squares_ += other.sum_squares_;
   for (int b = 0; b < kNumBuckets; b++) {
     buckets_[b] += other.buckets_[b];
   }
@@ -129,22 +124,6 @@ double Histogram::Average() const {
     return 0;
   }
   return sum_ / num_;
-}
-
-double Histogram::StandardDeviation() const {
-  if (num_ == 0.0) {
-    return 0;
-  }
-  double variance = (sum_squares_ * num_ - sum_ * sum_) / (num_ * num_);
-  return sqrt(variance > 0 ? variance : 0);
-}
-
-std::string Histogram::ToString() const {
-  char buf[200];
-  snprintf(buf, sizeof(buf),
-           "count=%.0f avg=%.2f p50=%.2f p90=%.2f p99=%.2f min=%.2f max=%.2f", num_, Average(),
-           Percentile(50), Percentile(90), Percentile(99), (num_ == 0 ? 0 : min_), max_);
-  return buf;
 }
 
 }  // namespace clsm

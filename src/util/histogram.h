@@ -5,7 +5,6 @@
 #define CLSM_UTIL_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 
 namespace clsm {
 
@@ -28,16 +27,14 @@ class Histogram {
   static double BucketLimit(int b) { return kBucketLimit[b]; }
 
   // Merge a raw per-bucket count array (same kBucketLimit domain) plus its
-  // moments, as accumulated by an external sharded histogram. sum_squares
-  // is unknown for such sources; StandardDeviation becomes meaningless
-  // after this call, the percentile series stays exact to bucket width.
+  // moments, as accumulated by an external sharded histogram. The
+  // percentile series stays exact to bucket width.
   void MergeBucketCounts(const uint64_t counts[kNumBuckets], uint64_t num, double sum, double min,
                          double max);
 
   double Median() const;
   double Percentile(double p) const;
   double Average() const;
-  double StandardDeviation() const;
   double Min() const { return min_; }
   double Max() const { return max_; }
   double Num() const { return num_; }
@@ -46,8 +43,6 @@ class Histogram {
   // cumulative _bucket series; values are whole counts stored as double).
   double BucketCount(int b) const { return buckets_[b]; }
 
-  std::string ToString() const;
-
  private:
   static const double kBucketLimit[kNumBuckets];
 
@@ -55,7 +50,6 @@ class Histogram {
   double max_;
   double num_;
   double sum_;
-  double sum_squares_;
 
   double buckets_[kNumBuckets];
 };

@@ -71,7 +71,6 @@ struct Options {
 
   // Target size of compaction output files (every level shares one target).
   uint64_t target_file_size = 2 * 1024 * 1024;
-  int num_levels = 7;
   // Total-bytes target of level 1; level L targets
   // level1_max_bytes * level_size_multiplier^(L-1).
   uint64_t level1_max_bytes = 10 * 1024 * 1024;

@@ -8,74 +8,24 @@
 namespace clsm {
 namespace log {
 
-Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum, uint64_t initial_offset)
+Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum)
     : file_(file),
       reporter_(reporter),
       checksum_(checksum),
       backing_store_(new char[kBlockSize]),
       buffer_(),
-      eof_(false),
-      last_record_offset_(0),
-      end_of_buffer_offset_(0),
-      initial_offset_(initial_offset),
-      resyncing_(initial_offset > 0) {}
+      eof_(false) {}
 
 Reader::~Reader() { delete[] backing_store_; }
 
-bool Reader::SkipToInitialBlock() {
-  const size_t offset_in_block = initial_offset_ % kBlockSize;
-  uint64_t block_start_location = initial_offset_ - offset_in_block;
-
-  // Don't search a block if we'd be in the trailer.
-  if (offset_in_block > kBlockSize - 6) {
-    block_start_location += kBlockSize;
-  }
-
-  end_of_buffer_offset_ = block_start_location;
-
-  if (block_start_location > 0) {
-    Status skip_status = file_->Skip(block_start_location);
-    if (!skip_status.ok()) {
-      ReportDrop(block_start_location, skip_status);
-      return false;
-    }
-  }
-
-  return true;
-}
-
 bool Reader::ReadRecord(Slice* record, std::string* scratch) {
-  if (last_record_offset_ < initial_offset_) {
-    if (!SkipToInitialBlock()) {
-      return false;
-    }
-  }
-
   scratch->clear();
   record->clear();
   bool in_fragmented_record = false;
-  // Record offset of the logical record we're reading.
-  uint64_t prospective_record_offset = 0;
 
   Slice fragment;
   while (true) {
     const unsigned int record_type = ReadPhysicalRecord(&fragment);
-
-    // The physical record's offset within the file.
-    uint64_t physical_record_offset =
-        end_of_buffer_offset_ - buffer_.size() - kHeaderSize - fragment.size();
-
-    if (resyncing_) {
-      if (record_type == kMiddleType) {
-        continue;
-      } else if (record_type == kLastType) {
-        resyncing_ = false;
-        continue;
-      } else {
-        resyncing_ = false;
-      }
-    }
-
     switch (record_type) {
       case kFullType:
         if (in_fragmented_record) {
@@ -84,10 +34,8 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
             ReportCorruption(scratch->size(), "partial record without end(1)");
           }
         }
-        prospective_record_offset = physical_record_offset;
         scratch->clear();
         *record = fragment;
-        last_record_offset_ = prospective_record_offset;
         return true;
 
       case kFirstType:
@@ -96,7 +44,6 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
             ReportCorruption(scratch->size(), "partial record without end(2)");
           }
         }
-        prospective_record_offset = physical_record_offset;
         scratch->assign(fragment.data(), fragment.size());
         in_fragmented_record = true;
         break;
@@ -115,7 +62,6 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
         } else {
           scratch->append(fragment.data(), fragment.size());
           *record = Slice(*scratch);
-          last_record_offset_ = prospective_record_offset;
           return true;
         }
         break;
@@ -149,15 +95,12 @@ bool Reader::ReadRecord(Slice* record, std::string* scratch) {
   return false;
 }
 
-uint64_t Reader::LastRecordOffset() { return last_record_offset_; }
-
 void Reader::ReportCorruption(uint64_t bytes, const char* reason) {
   ReportDrop(bytes, Status::Corruption(reason));
 }
 
 void Reader::ReportDrop(uint64_t bytes, const Status& reason) {
-  if (reporter_ != nullptr &&
-      end_of_buffer_offset_ - buffer_.size() - bytes >= initial_offset_) {
+  if (reporter_ != nullptr) {
     reporter_->Corruption(static_cast<size_t>(bytes), reason);
   }
 }
@@ -169,7 +112,6 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
         // Last read was a full read, so this is a trailer to skip.
         buffer_.clear();
         Status status = file_->Read(kBlockSize, &buffer_, backing_store_);
-        end_of_buffer_offset_ += buffer_.size();
         if (!status.ok()) {
           buffer_.clear();
           ReportDrop(kBlockSize, status);
@@ -230,13 +172,6 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
     }
 
     buffer_.remove_prefix(kHeaderSize + length);
-
-    // Skip physical record that started before initial_offset_.
-    if (end_of_buffer_offset_ - buffer_.size() - kHeaderSize - length < initial_offset_) {
-      result->clear();
-      return kBadRecord;
-    }
-
     *result = Slice(header + kHeaderSize, length);
     return type;
   }

@@ -25,8 +25,8 @@ class Reader {
   };
 
   // file must remain live while this Reader is in use. If checksum is true,
-  // verify record checksums. Starts reading at initial_offset.
-  Reader(SequentialFile* file, Reporter* reporter, bool checksum, uint64_t initial_offset);
+  // verify record checksums. Reads from the start of the file.
+  Reader(SequentialFile* file, Reporter* reporter, bool checksum);
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
@@ -37,19 +37,14 @@ class Reader {
   // false at end of input.
   bool ReadRecord(Slice* record, std::string* scratch);
 
-  // Offset of the last record returned by ReadRecord.
-  uint64_t LastRecordOffset();
-
  private:
   // Extend record types with the following special values.
   enum {
     kEof = kMaxRecordType + 1,
-    // Returned whenever we find an invalid physical record (bad CRC, zero
-    // length, or before initial_offset).
+    // Returned whenever we find an invalid physical record (bad CRC or zero
+    // length).
     kBadRecord = kMaxRecordType + 2
   };
-
-  bool SkipToInitialBlock();
 
   // Return type, or one of the preceding special values.
   unsigned int ReadPhysicalRecord(Slice* result);
@@ -63,17 +58,6 @@ class Reader {
   char* const backing_store_;
   Slice buffer_;
   bool eof_;  // Last Read() indicated EOF by returning < kBlockSize
-
-  uint64_t last_record_offset_;
-  // Offset of the first location past the end of buffer_.
-  uint64_t end_of_buffer_offset_;
-
-  uint64_t const initial_offset_;
-
-  // True if we are resynchronizing after a seek (initial_offset_ > 0); in
-  // that mode, runs of kMiddleType and kLastType records are silently
-  // skipped until the next kFirstType/kFullType.
-  bool resyncing_;
 };
 
 }  // namespace log

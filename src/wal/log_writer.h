@@ -18,8 +18,6 @@ class Writer {
  public:
   // dest must remain live while this Writer is in use.
   explicit Writer(WritableFile* dest);
-  // Resumes appending to a log already containing dest_length bytes.
-  Writer(WritableFile* dest, uint64_t dest_length);
 
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;

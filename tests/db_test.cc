@@ -3,9 +3,14 @@
 // the paper's claim that cLSM preserves LevelDB's full functionality (§4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/baselines/factory.h"
 #include "src/core/write_batch.h"
@@ -138,6 +143,42 @@ TEST_P(DbTest, IteratorFullOrderedScan) {
   }
   EXPECT_FALSE(iter->Valid());
   EXPECT_TRUE(iter->status().ok());
+}
+
+TEST_P(DbTest, ReverseScanOverTablesMirrorsForwardScan) {
+  Open();
+  // Enough data for several flushes and a compaction into level 1, so both
+  // walks cross data blocks, table files and levels.
+  const int kKeys = 20000;
+  for (int i = 0; i < kKeys; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "key%07d", i * 7 % kKeys);
+    ASSERT_TRUE(Put(key, std::string(100, static_cast<char>('a' + i % 26))).ok());
+  }
+  db_->WaitForMaintenance();
+  std::istringstream levels(db_->GetProperty("clsm.levels").substr(strlen("files[")));
+  int level0_files = 0;
+  int deeper_files = 0;
+  levels >> level0_files;
+  for (int n = 0; levels >> n;) {
+    deeper_files += n;
+  }
+  ASSERT_GT(deeper_files, 0) << db_->GetProperty("clsm.levels");
+
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::vector<std::pair<std::string, std::string>> forward;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    forward.emplace_back(iter->key().ToString(), iter->value().ToString());
+  }
+  ASSERT_TRUE(iter->status().ok());
+  ASSERT_EQ(static_cast<size_t>(kKeys), forward.size());
+  std::vector<std::pair<std::string, std::string>> backward;
+  for (iter->SeekToLast(); iter->Valid(); iter->Prev()) {
+    backward.emplace_back(iter->key().ToString(), iter->value().ToString());
+  }
+  ASSERT_TRUE(iter->status().ok());
+  std::reverse(backward.begin(), backward.end());
+  EXPECT_EQ(forward, backward);
 }
 
 TEST_P(DbTest, IteratorHidesDeletionsAndOldVersions) {

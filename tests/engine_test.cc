@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "src/lsm/storage_engine.h"
 #include "tests/test_util.h"
@@ -37,6 +39,20 @@ class EngineTest : public ::testing::Test {
     }
     ASSERT_TRUE(engine_->FlushMemTable(mem, engine_->versions()->LogNumber()).ok());
     mem->Unref();
+  }
+
+  // Runs the engine's compaction pool with one worker until no compaction
+  // is running or needed. smallest_snapshot is the obsolete-version GC
+  // bound every job sees.
+  void CompactUntilIdle(SequenceNumber smallest_snapshot) {
+    engine_->StartCompactionScheduler(
+        1, [smallest_snapshot] { return smallest_snapshot; }, nullptr);
+    engine_->SignalCompaction();
+    while (!engine_->CompactionsIdle() && engine_->bg_error()->ok()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    engine_->StopCompactionScheduler();
+    ASSERT_TRUE(engine_->bg_error()->ok()) << engine_->bg_error()->ToString();
   }
 
   std::string Get(const std::string& key, SequenceNumber seq) {
@@ -77,10 +93,7 @@ TEST_F(EngineTest, CompactionMergesToLevel1) {
     FlushBatch(2000, 1 + batch * 10000, "b" + std::to_string(batch) + "-");
   }
   ASSERT_TRUE(engine_->NeedsCompaction());
-  bool did_work = true;
-  while (engine_->NeedsCompaction() && did_work) {
-    ASSERT_TRUE(engine_->CompactOnce(kMaxSequenceNumber, &did_work).ok());
-  }
+  CompactUntilIdle(kMaxSequenceNumber);
   EXPECT_LT(engine_->NumLevelFiles(0), 4);
   int deeper_files = 0;
   for (int level = 1; level < kNumLevels; level++) {
@@ -99,10 +112,7 @@ TEST_F(EngineTest, CompactionDropsObsoleteVersions) {
   FlushBatch(500, 10000, "new");
   FlushBatch(500, 20000, "newer");
   FlushBatch(500, 30000, "newest");
-  bool did_work = true;
-  while (engine_->NeedsCompaction() && did_work) {
-    ASSERT_TRUE(engine_->CompactOnce(kMaxSequenceNumber, &did_work).ok());
-  }
+  CompactUntilIdle(kMaxSequenceNumber);
   // Reading at a pre-"new" snapshot: the old version was GC'd during the
   // merge (smallest_snapshot = max), so the key is simply absent at seq 500.
   EXPECT_EQ("NOTFOUND", Get("key0000001", 500));
@@ -115,12 +125,9 @@ TEST_F(EngineTest, CompactionPreservesSnapshotVersions) {
   FlushBatch(500, 10000, "new");
   FlushBatch(500, 20000, "newer");
   FlushBatch(500, 30000, "newest");
-  bool did_work = true;
   // smallest_snapshot = 5000: versions at seq <= 5000 that are the newest
   // at-or-below 5000 must survive (paper §3.2.1's GC rule).
-  while (engine_->NeedsCompaction() && did_work) {
-    ASSERT_TRUE(engine_->CompactOnce(5000, &did_work).ok());
-  }
+  CompactUntilIdle(5000);
   EXPECT_EQ("old1", Get("key0000001", 5000));
   EXPECT_EQ("newest1", Get("key0000001", kMaxSequenceNumber));
 }
@@ -138,10 +145,7 @@ TEST_F(EngineTest, DeletionMarkersDropOnlyAtBaseLevel) {
   ASSERT_TRUE(engine_->FlushMemTable(mem, engine_->versions()->LogNumber()).ok());
   mem->Unref();
 
-  bool did_work = true;
-  while (engine_->NeedsCompaction() && did_work) {
-    ASSERT_TRUE(engine_->CompactOnce(kMaxSequenceNumber, &did_work).ok());
-  }
+  CompactUntilIdle(kMaxSequenceNumber);
   EXPECT_EQ("NOTFOUND", Get("key0000000", kMaxSequenceNumber));
   EXPECT_EQ("v1", Get("key0000001", kMaxSequenceNumber));
 }
@@ -151,10 +155,7 @@ TEST_F(EngineTest, ManifestRecoveryRestoresLevels) {
   for (int batch = 0; batch < 5; batch++) {
     FlushBatch(1000, 1 + batch * 10000, "b" + std::to_string(batch) + "-");
   }
-  bool did_work = true;
-  while (engine_->NeedsCompaction() && did_work) {
-    ASSERT_TRUE(engine_->CompactOnce(kMaxSequenceNumber, &did_work).ok());
-  }
+  CompactUntilIdle(kMaxSequenceNumber);
   std::string summary_before = engine_->versions()->LevelSummary();
   SequenceNumber last_seq = engine_->versions()->LastSequence();
 

@@ -269,7 +269,8 @@ TEST_F(KvServiceTest, OversizedLengthPrefixClosesConnection) {
 TEST_F(KvServiceTest, EmptyKeyAndBinaryValuesSurvive) {
   KvClient c;
   ConnectClient(&c);
-  std::string binary("\x00\x01\xff\x7f zero \x00 embedded", 24);
+  const char kBinary[] = "\x00\x01\xff\x7f zero \x00 embedded";
+  const std::string binary(kBinary, sizeof(kBinary) - 1);
   ASSERT_TRUE(c.Put("bin", binary).ok());
   std::string v;
   ASSERT_TRUE(c.Get("bin", &v).ok());
@@ -401,6 +402,21 @@ TEST_F(KvServiceTest, RpcStatsCountRequestsStatusesAndBytes) {
   EXPECT_NE(std::string::npos, json.find("\"op\":{\"get\":{"));
   EXPECT_NE(std::string::npos, json.find("\"not_found\":{\"total\":1}"));
   EXPECT_NE(std::string::npos, json.find("\"latency_us\":{"));
+
+  // DB::ResetStats reaches the attached request metrics: every counter
+  // restarts at zero, while the live connection gauge is left alone.
+  db_->ResetStats();
+  EXPECT_EQ(0u, stats.TotalRequests());
+  EXPECT_EQ(0u, stats.Requests(RpcOp::kPut));
+  EXPECT_EQ(0u, stats.Responses(RpcOp::kGet, RpcStatusClass::kOk));
+  EXPECT_EQ(0u, stats.TotalErrors());
+  EXPECT_EQ(0u, stats.TotalBytesIn());
+  EXPECT_EQ(0u, stats.TotalBytesOut());
+  EXPECT_EQ(0u, stats.connections_total.load());
+  EXPECT_GE(stats.connections_active.load(), 1);  // c is still connected
+  Histogram after_reset;
+  stats.AggregateLatency(RpcOp::kPut, &after_reset);
+  EXPECT_EQ(0, static_cast<int>(after_reset.Num()));
 }
 
 TEST(KvServiceObservability, SlowRequestCaptureAndTraceSpans) {

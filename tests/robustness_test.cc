@@ -4,7 +4,10 @@
 // unaffected data stays readable.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/clsm_db.h"
 #include "src/lsm/filename.h"
@@ -130,6 +133,68 @@ TEST_F(RobustnessTest, CorruptTableScanSurfacesStatus) {
   // both are legal — crashing or looping is not.
   fprintf(stderr, "corrupt-table scan: n=%d status=%s\n", n, it->status().ToString().c_str());
   SUCCEED();
+}
+
+// Two same-length keys swapped inside a data block leave every block
+// readable (checksums are verified only with paranoid_checks), but the
+// table's keys are out of order. Compacting it must fail with Corruption
+// instead of writing the disorder into a new table.
+TEST_F(RobustnessTest, CompactionRejectsOutOfOrderTable) {
+  options_.block_restart_interval = 1;  // every key is stored whole
+  options_.l0_compaction_trigger = 2;
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  WriteOptions wo;
+  {
+    auto db = Open();
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(db->Put(wo, key(i), std::string(40, 'v')).ok());
+    }
+  }
+  // Reopening flushes the recovered WAL into the one level-0 table.
+  Open().reset();
+
+  Env* env = Env::Default();
+  std::vector<std::string> files;
+  ASSERT_TRUE(env->GetChildren(DbPath(), &files).ok());
+  std::string table;
+  for (const std::string& f : files) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(f, &number, &type) && type == kTableFile) {
+      ASSERT_TRUE(table.empty()) << "expected a single table";
+      table = DbPath() + "/" + f;
+    }
+  }
+  ASSERT_FALSE(table.empty());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env, table, &contents).ok());
+  const size_t a = contents.find(key(10));
+  const size_t b = contents.find(key(20));
+  ASSERT_NE(std::string::npos, a);
+  ASSERT_NE(std::string::npos, b);
+  contents.replace(a, key(20).size(), key(20));
+  contents.replace(b, key(10).size(), key(10));
+  ASSERT_TRUE(WriteStringToFileSync(env, contents, table).ok());
+
+  // Overwrite the keys; the reopen flushes them into a second level-0
+  // table, which reaches the compaction trigger.
+  {
+    auto db = Open();
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(db->Put(wo, key(i), "new").ok());
+    }
+  }
+  auto db = Open();
+  db->WaitForMaintenance();
+  const std::string bg = db->GetProperty("clsm.background-error");
+  EXPECT_NE(std::string::npos, bg.find("Corruption")) << bg;
+  std::string v;
+  ASSERT_TRUE(db->Get(ReadOptions(), key(5), &v).ok());
+  EXPECT_EQ("new", v);
 }
 
 TEST_F(RobustnessTest, CorruptWalRecoversPrefix) {

@@ -39,7 +39,7 @@ class WalTest : public ::testing::Test {
     std::unique_ptr<SequentialFile> file;
     EXPECT_TRUE(env_->NewSequentialFile(FileName(), &file).ok());
     CountingReporter local;
-    log::Reader reader(file.get(), reporter != nullptr ? reporter : &local, true, 0);
+    log::Reader reader(file.get(), reporter != nullptr ? reporter : &local, true);
     std::vector<std::string> out;
     Slice record;
     std::string scratch;

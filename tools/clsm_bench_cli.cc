@@ -58,7 +58,7 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 int Usage() {
   fprintf(stderr,
-          "flags: --db=PATH --variant=clsm|leveldb|hyperleveldb|rocksdb|blsm|striped-rmw\n"
+          "flags: --db=PATH --variant=clsm|leveldb|hyperleveldb|rocksdb|striped-rmw\n"
           "       --threads=N --duration_ms=N --writes=F --scans=F --rmws=F\n"
           "       --dist=uniform|hotblock|zipfian --zipf_theta=F\n"
           "       --keys=N --preload=N --key_size=N --value_size=N\n"

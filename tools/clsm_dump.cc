@@ -95,7 +95,7 @@ int DumpWal(const char* fname) {
     }
   };
   StderrReporter reporter;
-  log::Reader reader(file.get(), &reporter, true, 0);
+  log::Reader reader(file.get(), &reporter, true);
   printf("wal %s:\n", fname);
   Slice record;
   std::string scratch;
